@@ -22,7 +22,7 @@ from .checks import (
     merchant_blindness_check,
     total_funds,
 )
-from .client_agent import ClientAgent, provision_vault, unlock_and_pick
+from .client_agent import ClientAgent
 from .crypto import CryptoSuite, Pin, SecretKey, derive_shared_key
 from .errors import (
     CollisionExhaustion,
@@ -107,9 +107,7 @@ __all__ = [
     "list_bundled",
     "load_spec",
     "merchant_blindness_check",
-    "provision_vault",
     "run_scenario",
     "run_spec",
     "total_funds",
-    "unlock_and_pick",
 ]

@@ -14,7 +14,6 @@ verdict is positive.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -23,37 +22,9 @@ from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
 from .rng import DeterministicRng
-from .tic_registry import TicBatch, TicCode
 from .two_way import MerchantCertificate
-from .vault import SALT_LEN, TicVault
+from .vault import TicVault
 from .wire import Channel, Ciphertext, Envelope, F
-
-
-# -- vault operations (directly callable, no simulator needed) ----------------
-
-
-def provision_vault(batch: TicBatch, local_password: str,
-                    salt: Optional[bytes] = None) -> TicVault:
-    """Seal a freshly issued batch under the device password."""
-    if not batch.codes:
-        raise ValueError("cannot provision an empty batch")
-    if salt is None:
-        salt = secrets.token_bytes(SALT_LEN)
-    alphabet = batch.codes[0].alphabet
-    return TicVault.provision(batch.codes, local_password, salt=salt, alphabet=alphabet)
-
-
-def unlock_and_pick(vault: TicVault, local_password: str, index: int = 0):
-    """Open the vault and spend one code; the vault no longer contains it."""
-    if vault.locked:
-        vault.unlock(local_password)
-    code = vault.pick(index)
-    return code, vault
-
-
-def change_password(vault: TicVault, old_password: str, new_password: str) -> TicVault:
-    vault.change_password(old_password, new_password)
-    return vault
 
 
 @dataclass

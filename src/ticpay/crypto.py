@@ -23,14 +23,13 @@ import hashlib
 import hmac
 import threading
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import IntegrityFailure, RoleMismatch
 from .payment import PaymentOrder
-from .rng import DeterministicRng
 from .wire import Ciphertext, KeyRole, NONCE_LEN, TAG_LEN, str16, Reader
 
 KEY_LEN = 32
@@ -71,12 +70,6 @@ class SecretKey:
     def __post_init__(self):
         if len(self.key_bytes) != KEY_LEN:
             raise ValueError(f"secret key must be {KEY_LEN} bytes")
-
-
-def generate_secret_key(session_id: str, seed: Union[int, str, bytes]) -> SecretKey:
-    """Fresh session key; deterministic for a fixed (session_id, seed)."""
-    rng = DeterministicRng(seed, f"secret-key|{session_id}")
-    return SecretKey(key_bytes=rng.take(KEY_LEN), session_id=session_id)
 
 
 def _code_value(tic) -> str:

@@ -10,6 +10,8 @@ copies the adversary itself schedules; rules match on (channel, message
 type, nth occurrence) and can observe, drop, delay-replay, bit-tamper,
 or inject. Tampering is confined to body bytes so corrupted messages
 still route to their receiver, where strict decoding gets to reject them.
+Each transmission's header is parsed once, when it enters the wire, and
+travels with the bytes to delivery, where only the body is decoded.
 
 The bus keeps a wire log of every byte that crossed a channel; leakage
 scans run over that log, not over the trace, which carries digests only.
@@ -69,9 +71,6 @@ class ProtocolTrace:
 
     def digest(self) -> str:
         return hashlib.sha256(self.export_jsonl().encode("utf-8")).hexdigest()
-
-    def kinds(self) -> List[str]:
-        return [e.kind for e in self.events]
 
     def find(self, kind: Optional[str] = None, msg_type: Optional[str] = None,
              note: Optional[str] = None) -> List[TraceEvent]:
@@ -161,23 +160,12 @@ class AdversaryScript:
     """Ordered rules applied to live traffic, plus standalone injections.
 
     Injections are (at, data) pairs entered into the wire at the given
-    time; they pass the rule hook like any other transmission.
+    time; they pass the rule hook like any other transmission. The script
+    holds no run state, so one script can drive any number of runs.
     """
 
     rules: List[Rule] = field(default_factory=list)
     injections: List[Tuple[int, bytes]] = field(default_factory=list)
-
-    def __post_init__(self):
-        self._occurrences: Dict[Tuple[int, str], int] = {}
-        self.captured: List[WireRecord] = []
-
-    def next_occurrence(self, header: Header) -> int:
-        key = (int(header.channel), header.msg_type)
-        self._occurrences[key] = self._occurrences.get(key, 0) + 1
-        return self._occurrences[key]
-
-    def matching(self, header: Header, occurrence: int) -> List[Rule]:
-        return [r for r in self.rules if r.matches(header, occurrence)]
 
 
 # -- actors -----------------------------------------------------------------
@@ -248,6 +236,9 @@ class Simulation:
         self.step_budget = step_budget
         self.trace = ProtocolTrace()
         self.wire_log: List[WireRecord] = []
+        #: transmissions copied by Observe rules
+        self.captured: List[WireRecord] = []
+        self._occurrences: Dict[Tuple[Channel, str], int] = {}
         self._net_rng = DeterministicRng(seed, "net")
         self._actors: Dict[str, Actor] = {}
         self._order: List[str] = []
@@ -305,8 +296,11 @@ class Simulation:
         self._cancelled.add(token)
 
     def _dispatch_send(self, data: bytes) -> None:
-        header = peek_header(data)  # envelope headers are never tampered
-        occurrence = self.adversary.next_occurrence(header)
+        # Cannot fail: actors send encoded envelopes, tampers touch only the
+        # body, and start() rejects injections without a valid header.
+        header = peek_header(data)
+        key = (header.channel, header.msg_type)
+        occurrence = self._occurrences[key] = self._occurrences.get(key, 0) + 1
         seq = self._record(
             "send",
             channel=header.channel.name,
@@ -321,10 +315,12 @@ class Simulation:
         self.wire_log.append(record)
 
         dropped = False
-        for rule in self.adversary.matching(header, occurrence):
+        for rule in self.adversary.rules:
+            if not rule.matches(header, occurrence):
+                continue
             action = rule.action
             if isinstance(action, Observe):
-                self.adversary.captured.append(record)
+                self.captured.append(record)
             elif isinstance(action, Drop):
                 dropped = True
                 self._record("drop", channel=header.channel.name,
@@ -353,7 +349,7 @@ class Simulation:
         candidate = self.now + self.latency.get(header.channel, 1) + jitter
         deliver_at = max(candidate, self._fifo_floor.get(header.channel, 0))
         self._fifo_floor[header.channel] = deliver_at
-        self._push(deliver_at, "deliver", (data,))
+        self._push(deliver_at, "deliver", (data, header))
 
     @staticmethod
     def _apply_tamper(data: bytes, header: Header, action: Tamper) -> bytes:
@@ -366,8 +362,7 @@ class Simulation:
             buf[idx] ^= mask & 0xFF
         return bytes(buf)
 
-    def _dispatch_deliver(self, data: bytes) -> None:
-        header = peek_header(data)
+    def _dispatch_deliver(self, data: bytes, header: Header) -> None:
         actor = self._actors.get(header.receiver)
         if actor is None:
             self._record("drop", channel=header.channel.name,
@@ -375,7 +370,7 @@ class Simulation:
             return
         ctx = Ctx(self, actor.name)
         try:
-            env = Envelope.from_bytes(data)
+            env = Envelope.from_header(header)
         except WireError as exc:
             self._record("reject-parse", channel=header.channel.name,
                          sender=header.sender, receiver=header.receiver,
@@ -396,6 +391,11 @@ class Simulation:
 
     def start(self) -> None:
         """Give every actor its opening move, in registration order."""
+        for i, (_at, data) in enumerate(self.adversary.injections):
+            try:
+                peek_header(data)
+            except WireError as exc:
+                raise ScenarioError(f"injections[{i}]: {exc}") from exc
         for at, data in sorted(self.adversary.injections, key=lambda p: p[0]):
             self._push(max(at, self.now), "inject", (data,))
         for name in self._order:
@@ -413,7 +413,7 @@ class Simulation:
             if kind == "send":
                 self._dispatch_send(payload[0])
             elif kind == "deliver":
-                self._dispatch_deliver(payload[0])
+                self._dispatch_deliver(*payload)
             elif kind == "inject":
                 data = payload[0]
                 self._record("inject", body_digest=digest16(data))

@@ -17,7 +17,7 @@ Layouts:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, Optional
 
@@ -34,11 +34,6 @@ class Channel(IntEnum):
     WEB = 1
     SMS = 2
     INTERBANK = 3
-
-
-#: The SMS bearer is treated as encrypted by the carrier; adversary rules
-#: are still allowed on it so that assumption can be tested explicitly.
-ASSUMED_ENCRYPTED_CHANNELS = frozenset({Channel.SMS})
 
 
 class KeyRole(IntEnum):
@@ -80,32 +75,6 @@ class F(IntEnum):
     NOTICE_ID = 0x0018
     CART_TOTAL = 0x0019
     CELL = 0x001A
-
-
-#: Tags whose values are non-secret and may appear verbatim in trace exports.
-EXPORTABLE_TAGS = frozenset(
-    {
-        F.STATUS,
-        F.REASON,
-        F.USERNAME,
-        F.WELCOME,
-        F.MODE,
-        F.TXN_ID,
-        F.AMOUNT,
-        F.DECISION,
-        F.RESULT,
-        F.ACCOUNT_REF,
-        F.INVOICE_NUMBER,
-        F.MERCHANT_ID,
-        F.MERCHANT_BANK_ID,
-        F.VERDICT,
-        F.CUSTOMER_REF,
-        F.NOTICE_ID,
-        F.CART_TOTAL,
-        F.CELL,
-        F.COOKIE,
-    }
-)
 
 
 class Reader:
@@ -255,49 +224,20 @@ class Envelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
-        reader = Reader(data)
-        if reader.take(2) != MAGIC:
-            raise WireError("bad envelope magic")
-        version = reader.u8()
-        if version != VERSION:
-            raise WireError(f"unsupported envelope version {version}")
-        channel_byte = reader.u8()
-        try:
-            channel = Channel(channel_byte)
-        except ValueError as exc:
-            raise WireError(f"unknown channel {channel_byte}") from exc
-        sender = reader.str16()
-        receiver = reader.str16()
-        msg_type = reader.str16()
-        cookie = reader.str16()
-        request_id = reader.str16()
-        body = decode_fields(reader.take(reader.u32()))
-        reader.expect_end()
+        return cls.from_header(peek_header(data))
+
+    @classmethod
+    def from_header(cls, header: "Header") -> "Envelope":
+        """Decode the body of an already parsed header."""
         return cls(
-            sender=sender,
-            receiver=receiver,
-            channel=channel,
-            msg_type=msg_type,
-            body=body,
-            cookie=cookie,
-            request_id=request_id,
+            sender=header.sender,
+            receiver=header.receiver,
+            channel=header.channel,
+            msg_type=header.msg_type,
+            body=decode_fields(header.raw_body),
+            cookie=header.cookie,
+            request_id=header.request_id,
         )
-
-    def body_offset(self) -> int:
-        """Offset of the first body byte within to_bytes() output."""
-        return (
-            2  # magic
-            + 2  # version + channel
-            + 2 + len(self.sender.encode("utf-8"))
-            + 2 + len(self.receiver.encode("utf-8"))
-            + 2 + len(self.msg_type.encode("utf-8"))
-            + 2 + len(self.cookie.encode("utf-8"))
-            + 2 + len(self.request_id.encode("utf-8"))
-            + 4  # body length prefix
-        )
-
-    def with_body(self, body: Dict[int, bytes]) -> "Envelope":
-        return replace(self, body=dict(body))
 
 
 @dataclass(frozen=True)
@@ -318,6 +258,7 @@ class Header:
 
 
 def peek_header(data: bytes) -> Header:
+    """Parse and validate an envelope header; the body stays undecoded."""
     reader = Reader(data)
     if reader.take(2) != MAGIC:
         raise WireError("bad envelope magic")

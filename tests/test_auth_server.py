@@ -15,7 +15,7 @@ from ticpay.auth_server import (
     TxnState,
     generic_denial_body,
 )
-from ticpay.crypto import CryptoSuite, Pin, generate_secret_key
+from ticpay.crypto import KEY_LEN, CryptoSuite, Pin, SecretKey
 from ticpay.payment import PayMode, PaymentOrder
 from ticpay.tic_registry import RegistryConfig, TicRegistry
 from ticpay.wire import F, encode_fields
@@ -198,7 +198,7 @@ def test_submit_denial_matrix():
 
     # undecryptable TIC: composed under a key the server never issued
     cookie, key = submit_ready(server)
-    rogue = generate_secret_key("SROGUE", 99)
+    rogue = SecretKey(b"\x99" * KEY_LEN, "SROGUE")
     enc_tic, enc_order = compose(cookie, rogue, codes[0])
     expect_denial(server, cookie, enc_tic, enc_order, "tic-decrypt-failed")
 
@@ -409,7 +409,7 @@ def test_phase_never_moves_backward():
         cookie="c",
         username="alice",
         account_id="ACC-1001",
-        secret_key=generate_secret_key("S0001", 1),
+        secret_key=SecretKey(bytes(KEY_LEN), "S0001"),
         created_at=0,
     )
     session.advance(Phase.MODE_SELECTED)

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from ticpay.auth_server import BankActor, BankServer
-from ticpay.client_agent import ClientAgent, change_password, provision_vault, unlock_and_pick
+from ticpay.client_agent import ClientAgent
 from ticpay.crypto import Pin
 from ticpay.errors import IntegrityFailure
 from ticpay.netsim import AdversaryScript, Simulation
 from ticpay.payment import PayMode, PaymentOrder
-from ticpay.tic_registry import TicRegistry
 from ticpay.wire import Channel, Envelope, F
 
 PIN = Pin.from_hex("00112233445566aa")
@@ -61,30 +60,6 @@ def notes(sim) -> list:
 
 def sent_types(sim) -> list:
     return [e.msg_type for e in sim.trace.find(kind="send")]
-
-
-# -- direct vault operations ---------------------------------------------------
-
-
-def test_provision_unlock_pick_change_password():
-    batch = TicRegistry().generate_tics("ACC-1001", 3, seed=b"ops")
-    vault = provision_vault(batch, "first-pass")
-    code, vault = unlock_and_pick(vault, "first-pass")
-    assert code.value == batch.codes[0].value
-    assert vault.remaining() == 2
-    vault = change_password(vault, "first-pass", "second-pass")
-    vault.lock()
-    with pytest.raises(IntegrityFailure):
-        unlock_and_pick(vault, "first-pass")
-    code2, _ = unlock_and_pick(vault, "second-pass")
-    assert code2.value == batch.codes[1].value
-
-
-def test_provision_rejects_an_empty_batch():
-    batch = TicRegistry().generate_tics("ACC-1001", 1, seed=b"ops")
-    empty = type(batch)(account_id=batch.account_id, codes=(), batch_id=batch.batch_id)
-    with pytest.raises(ValueError):
-        provision_vault(empty, "pw")
 
 
 def test_client_rejects_unknown_policies():

@@ -23,11 +23,11 @@ from ticpay.crypto import (
     derive_pin_key,
     derive_shared_key,
     derive_tic_key,
-    generate_secret_key,
     get_cipher,
 )
 from ticpay.errors import IntegrityFailure, RoleMismatch
 from ticpay.payment import PayMode, PaymentOrder
+from ticpay.rng import DeterministicRng
 from ticpay.wire import Ciphertext, KeyRole
 
 PIN = Pin(bytes.fromhex("00112233445566aa"))
@@ -43,7 +43,7 @@ def reference_kdf(material: bytes, label: bytes) -> bytes:
 
 
 def fresh_key(session_id: str = "S0001", seed: int = 3) -> SecretKey:
-    return generate_secret_key(session_id, seed)
+    return SecretKey(DeterministicRng(seed, f"secret-key|{session_id}").take(KEY_LEN), session_id)
 
 
 def test_kdf_matches_reference_construction():
@@ -71,14 +71,17 @@ def test_pin_validation():
         Pin.from_hex("zz")
 
 
-def test_generate_secret_key_is_deterministic_per_seed():
-    a = generate_secret_key("S0001", 3)
-    b = generate_secret_key("S0001", 3)
-    c = generate_secret_key("S0002", 3)
-    d = generate_secret_key("S0001", 4)
+def test_secret_key_is_deterministic_per_seed():
+    a = fresh_key("S0001", 3)
+    b = fresh_key("S0001", 3)
+    c = fresh_key("S0002", 3)
+    d = fresh_key("S0001", 4)
     assert a.key_bytes == b.key_bytes
     assert len({a.key_bytes, c.key_bytes, d.key_bytes}) == 3
     assert len(a.key_bytes) == KEY_LEN
+    for size in (0, KEY_LEN - 1, KEY_LEN + 1):
+        with pytest.raises(ValueError):
+            SecretKey(bytes(size), "S0001")
 
 
 def test_wrap_unwrap_round_trip():

@@ -32,3 +32,14 @@ def test_bundled_trace_digest_is_pinned(name):
     report = run_spec(load_spec(find_bundled(name)))
     assert report.seed == seed
     assert report.world.sim.trace.digest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_loaded_spec_runs_the_same_every_time(name):
+    # Adversary run state lives in the Simulation, so reusing a spec must
+    # not disarm its nth rules.
+    spec = load_spec(find_bundled(name))
+    for _ in range(2):
+        report = run_spec(spec)
+        assert report.passed, report.render()
+        assert report.world.sim.trace.digest() == GOLDEN[name][1]

@@ -134,9 +134,9 @@ def test_observe_captures_exact_bytes():
     sink = Recorder("sink")
     env = msg("src", "sink", "a", body={1: b"payload"})
     adversary = AdversaryScript(rules=[Rule(action=Observe(), msg_type="a")])
-    simulate([Opener("src", [env]), sink], adversary)
-    assert len(adversary.captured) == 1
-    assert adversary.captured[0].data == env.to_bytes()
+    sim = simulate([Opener("src", [env]), sink], adversary)
+    assert len(sim.captured) == 1
+    assert sim.captured[0].data == env.to_bytes()
 
 
 def test_replay_counts_occurrences_across_copies():
@@ -224,6 +224,29 @@ def test_injection_enters_the_wire_like_any_transmission():
     assert [e.msg_type for e in sink.got] == ["spoof"]
     assert sink.got[0].sender == "ghost"
     assert sim.trace.find(kind="inject")
+
+
+def test_injection_without_a_valid_header_fails_at_start():
+    good = msg("ghost", "sink", "spoof").to_bytes()
+    adversary = AdversaryScript(injections=[(1, good), (1, b"garbage")])
+    sim = Simulation(adversary=adversary)
+    sim.add_actor(Recorder("sink"))
+    with pytest.raises(ScenarioError, match=r"injections\[1\]: bad envelope magic"):
+        sim.start()
+
+
+def test_one_adversary_script_drives_independent_runs():
+    adversary = AdversaryScript(rules=[
+        Rule(action=Observe(), msg_type="a"),
+        Rule(action=Drop(), msg_type="a", nth=1),
+    ])
+    for _ in range(2):
+        sink = Recorder("sink")
+        sim = simulate([Opener("src", [msg("src", "sink", "a", body={1: b"x"}),
+                                       msg("src", "sink", "a", body={1: b"y"})]), sink],
+                       adversary)
+        assert [e.body for e in sink.got] == [{1: b"y"}]
+        assert len(sim.captured) == 2
 
 
 def test_unknown_receiver_is_dropped_with_a_note():

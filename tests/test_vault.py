@@ -8,6 +8,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from ticpay.errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
+from ticpay.tic_registry import TicRegistry
 from ticpay.vault import KDF_ITERATIONS, SALT_LEN, TicVault
 from ticpay.wire import Reader
 
@@ -107,6 +108,21 @@ def test_reseal_nonces_never_repeat_across_reloads():
     reloaded.change_password(PASSWORD, "new-password")
     nonces.add(reloaded._sealed.nonce)
     assert len(nonces) == 4
+
+
+def test_provision_unlock_pick_change_password():
+    batch = TicRegistry().generate_tics("ACC-1001", 3, seed=b"ops")
+    vault = TicVault.provision(batch.codes, "first-pass", salt=SALT,
+                               alphabet=batch.codes[0].alphabet)
+    code = vault.pick()
+    assert code.value == batch.codes[0].value
+    assert vault.remaining() == 2
+    vault.change_password("first-pass", "second-pass")
+    vault.lock()
+    with pytest.raises(IntegrityFailure):
+        vault.unlock("first-pass")
+    vault.unlock("second-pass")
+    assert vault.pick().value == batch.codes[1].value
 
 
 def test_change_password_rekeys_and_keeps_contents():

@@ -77,7 +77,7 @@ def test_envelope_byte_layout_is_fixed():
         + body
     )
     assert env.to_bytes() == expected
-    assert env.to_bytes()[env.body_offset():] == body
+    assert peek_header(expected).raw_body == body
 
 
 def test_every_truncation_is_rejected():
@@ -174,7 +174,7 @@ def test_peek_header_matches_full_parse():
     assert header.request_id == "rq9"
     # header keeps the body undecoded so routing survives body corruption
     assert header.raw_body == encode_fields(env.body)
-    garbled = data[: env.body_offset()] + b"\xff" * len(header.raw_body)
+    garbled = data[: len(data) - len(header.raw_body)] + b"\xff" * len(header.raw_body)
     assert peek_header(garbled).msg_type == "login_request"
     with pytest.raises(WireError):
         Envelope.from_bytes(garbled)
