@@ -240,11 +240,10 @@ def test_one_adversary_script_drives_independent_runs():
         Rule(action=Observe(), msg_type="a"),
         Rule(action=Drop(), msg_type="a", nth=1),
     ])
+    burst = [msg("src", "sink", "a", body={1: b"x"}), msg("src", "sink", "a", body={1: b"y"})]
     for _ in range(2):
         sink = Recorder("sink")
-        sim = simulate([Opener("src", [msg("src", "sink", "a", body={1: b"x"}),
-                                       msg("src", "sink", "a", body={1: b"y"})]), sink],
-                       adversary)
+        sim = simulate([Opener("src", burst), sink], adversary)
         assert [e.body for e in sink.got] == [{1: b"y"}]
         assert len(sim.captured) == 2
 
