@@ -44,12 +44,11 @@ from .netsim import (
     Rule,
     Simulation,
     Tamper,
-    run_scenario,
 )
 from .payment import PaymentOrder, PayMode
 from .rng import DeterministicRng
 from .scenarios import ScenarioSpec, build_world, list_bundled, load_spec, run_spec
-from .tic_registry import RegistryConfig, TicBatch, TicRegistry, VerifyResult
+from .tic_registry import TicBatch, TicRegistry, VerifyResult
 from .two_way import MerchantAgent, MerchantBank, MerchantCertificate, TwoWayGateway
 from .vault import TicVault
 from .wire import Channel, Envelope
@@ -79,7 +78,6 @@ __all__ = [
     "Phase",
     "Pin",
     "ProtocolTrace",
-    "RegistryConfig",
     "Replay",
     "RoleMismatch",
     "Rule",
@@ -107,7 +105,6 @@ __all__ = [
     "list_bundled",
     "load_spec",
     "merchant_blindness_check",
-    "run_scenario",
     "run_spec",
     "total_funds",
 ]

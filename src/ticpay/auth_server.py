@@ -20,19 +20,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from .crypto import CryptoSuite, Pin, SecretKey, derive_tic_key
+from .crypto import CryptoSuite, Pin, SecretKey
 from .errors import IntegrityFailure, RoleMismatch, WireError
 from .netsim import Actor, Ctx, digest16
 from .payment import PayMode, PaymentOrder
 from .rng import DeterministicRng
-from .tic_registry import RegistryConfig, TicRegistry, code_digest
+from .tic_registry import TicRegistry, code_digest
 from .vault import TicVault
 from .wire import Channel, Ciphertext, Envelope, F, Header
 
 DEFAULT_SMS_DEADLINE = 300
-DEFAULT_LOCKOUT_AFTER = 5
+LOCKOUT_AFTER = 5  # consecutive bad passwords before an account locks
 
 GENERIC_DENIAL_REASON = b"authentication-failed"
 
@@ -165,22 +165,17 @@ class BankServer:
         self,
         name: str = "cbank",
         seed: int | str | bytes = 0,
-        registry: Optional[TicRegistry] = None,
-        suite: Optional[CryptoSuite] = None,
         cipher: str = "aes-gcm",
         sms_deadline: int = DEFAULT_SMS_DEADLINE,
-        lockout_after: int = DEFAULT_LOCKOUT_AFTER,
-        payment_gate: Optional[Callable[[str], bool]] = None,
     ):
         self.name = name
-        self.registry = registry or TicRegistry(RegistryConfig())
+        self.registry = TicRegistry()
         self.cipher_name = cipher
-        self.suite = suite or CryptoSuite(cipher)
+        self.suite = CryptoSuite(cipher)
         self.sms_deadline = sms_deadline
-        self.lockout_after = lockout_after
-        # request_id -> may this payment proceed; one-way traffic has no
-        # request_id and passes trivially.
-        self.payment_gate = payment_gate
+        # request_id -> may this payment proceed; set by a two-way gateway.
+        # One-way traffic has no request_id and passes trivially.
+        self.payment_gate: Optional[Callable[[str], bool]] = None
         self._rng = DeterministicRng(seed, f"bank|{name}")
         # One long-lived stream: recreating it per login would replay the
         # same cookie value and never satisfy the uniqueness loop.
@@ -239,8 +234,7 @@ class BankServer:
         )
         salt = self._rng.child(f"vault-salt|{username}").take(16)
         vault = TicVault.provision(
-            batch.codes, record.vault_password, salt=salt,
-            alphabet=self.registry.config.alphabet, cipher=self.cipher_name,
+            batch.codes, record.vault_password, salt=salt, cipher=self.cipher_name,
         )
         return vault.to_bytes()
 
@@ -255,7 +249,7 @@ class BankServer:
         if not record.verify_password(password):
             count = self.failed_logins.get(username, 0) + 1
             self.failed_logins[username] = count
-            if count >= self.lockout_after:
+            if count >= LOCKOUT_AFTER:
                 self.locked.add(username)
             return LoginResult(ok=False, reason="bad-credentials")
         self.failed_logins[username] = 0
@@ -337,7 +331,7 @@ class BankServer:
         except (WireError, IntegrityFailure, RoleMismatch):
             return fail("tic-decrypt-failed")
 
-        verdict = self.registry.verify_and_consume(session.account_id, tic_value, now=now)
+        verdict = self.registry.verify_and_consume(session.account_id, tic_value)
         if not verdict.accepted:
             return fail(f"tic-{verdict.reason}")
 
@@ -429,15 +423,6 @@ class BankServer:
             return self._abort(txn, "timeout")
         return None
 
-    # -- inter-bank settlement (incoming side) ------------------------------------
-
-    def credit_external(self, account_id: str, amount: int) -> None:
-        """Book funds arriving from another bank for a local account."""
-        if account_id not in self.balances:
-            raise ValueError(f"no account {account_id!r} at {self.name}")
-        self.clearing -= amount
-        self.balances[account_id] += amount
-
 
 class BankActor(Actor):
     """Envelope adapter around BankServer: routing, timers, SMS dispatch.
@@ -450,7 +435,6 @@ class BankActor(Actor):
     def __init__(self, server: BankServer, provision_plan: Optional[Dict[str, int]] = None):
         self.server = server
         self.name = server.name
-        self.role = "customer-bank"
         self.provision_plan = dict(provision_plan or {})
         self.gateway = None  # wired by the world builder for two-way runs
 

@@ -69,6 +69,11 @@ MERCHANT_SCHEMAS = {
 }
 
 
+# Shorter secrets match random ciphertext bytes often enough to raise
+# false alarms, so the scan refuses them instead of giving a verdict.
+MIN_SECRET_LEN = 8
+
+
 @dataclass(frozen=True)
 class LeakFinding:
     seq: int  # trace seq of the transmission whose bytes leaked
@@ -82,13 +87,16 @@ def leakage_scan(wire_log: Sequence[WireRecord],
 
     Secrets are scanned as raw byte substrings; authenticated ciphertext
     cannot contain them except by 2^-something accident, so any hit on a
-    real cipher is a protocol bug.
+    real cipher is a protocol bug. A secret shorter than MIN_SECRET_LEN
+    bytes raises ValueError.
     """
+    for secret_id, value in secrets.items():
+        if len(value) < MIN_SECRET_LEN:
+            raise ValueError(f"secret {secret_id!r} is {len(value)} bytes; "
+                             f"the scan needs at least {MIN_SECRET_LEN}")
     findings: List[LeakFinding] = []
     for record in wire_log:
         for secret_id, value in secrets.items():
-            if not value:
-                continue
             start = record.data.find(value)
             while start != -1:
                 findings.append(LeakFinding(record.seq, secret_id, start))
@@ -110,17 +118,12 @@ class ConformanceResult:
                 f"expected {self.expected!r}, got {self.got!r}")
 
 
-def conformance_check(trace: ProtocolTrace, template: Sequence[str],
-                      request_id: Optional[str] = None) -> ConformanceResult:
+def conformance_check(trace: ProtocolTrace, template: Sequence[str]) -> ConformanceResult:
     """Compare delivered msg_types, in order, against a template.
 
-    With `request_id`, only deliveries tagged with it are projected;
-    otherwise the whole run must match, extra traffic included.
+    The whole run must match, extra traffic included.
     """
-    delivered = [
-        e.msg_type for e in trace.events
-        if e.kind == "deliver" and (request_id is None or e.request_id == request_id)
-    ]
+    delivered = [e.msg_type for e in trace.events if e.kind == "deliver"]
     for i, expected in enumerate(template):
         if i >= len(delivered):
             return ConformanceResult(ok=False, step=i, expected=expected, got=None)

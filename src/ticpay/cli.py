@@ -7,6 +7,7 @@ Exit status is the verdict: 0 when every expectation and check passed,
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -62,15 +63,17 @@ def run(scenario: str, seed, cipher, checks, trace_out, report_out, verbose) -> 
     try:
         spec = load_spec(path)
         if seed is not None:
-            spec.seed = seed
+            spec = replace(spec, seed=seed)
         if cipher is not None:
-            spec.cipher = cipher
+            spec = replace(spec, cipher=cipher)
         if checks is not None:
-            wanted = [c.strip() for c in checks.split(",") if c.strip()]
+            wanted = tuple(c.strip() for c in checks.split(",") if c.strip())
+            if not wanted:
+                raise ScenarioError("--checks: name at least one check")
             for c in wanted:
                 if c not in KNOWN_CHECKS:
                     raise ScenarioError(f"--checks: unknown check {c!r}")
-            spec.checks = wanted
+            spec = replace(spec, checks=wanted)
         report = run_spec(spec)
     except ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)

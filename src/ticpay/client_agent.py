@@ -21,7 +21,6 @@ from .crypto import CryptoSuite, Pin
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
-from .rng import DeterministicRng
 from .two_way import MerchantCertificate
 from .vault import TicVault
 from .wire import Channel, Ciphertext, Envelope, F
@@ -62,29 +61,22 @@ class ClientAgent(Actor):
         payments: Optional[List[PaymentOrder]] = None,
         reply_policy: str = "yes",
         reply_delay: int = 0,
-        pick_policy: str = "first",
         merchant: Optional[str] = None,
         mode: str = "electronic-transfer",
         cipher: str = "aes-gcm",
-        rng: Optional[DeterministicRng] = None,
     ):
         if reply_policy not in ("yes", "no", "ignore"):
             raise ValueError(f"unknown reply policy {reply_policy!r}")
-        if pick_policy not in ("first", "random"):
-            raise ValueError(f"unknown pick policy {pick_policy!r}")
         self.name = name
-        self.role = "client"
         self.password = password
         self.pin = pin
         self.vault_password = vault_password
         self.bank = bank
         self.reply_policy = reply_policy
         self.reply_delay = reply_delay
-        self.pick_policy = pick_policy
         self.merchant = merchant
         self.mode = PayMode.from_name(mode)
         self.suite = CryptoSuite(cipher)
-        self.rng = rng or DeterministicRng(0, f"client|{name}")
         self.vault: Optional[TicVault] = None
         self.session: Optional[ClientSession] = None
         self.inflight: Optional[_InFlight] = None
@@ -223,10 +215,7 @@ class ClientAgent(Actor):
                 raise VaultEmpty("no vault provisioned")
             if self.vault.locked:
                 self.vault.unlock(self.vault_password)
-            index = 0
-            if self.pick_policy == "random":
-                index = self.rng.below(max(self.vault.remaining(), 1))
-            code = self.vault.pick(index)
+            code = self.vault.pick()
         except (VaultEmpty, VaultLocked, IntegrityFailure) as exc:
             ctx.note(f"vault-failure cause={type(exc).__name__}")
             self._finish_current(ctx, "vault-failure")

@@ -38,8 +38,8 @@ class VaultEmpty(TicpayError):
 class CollisionExhaustion(TicpayError):
     """Distinct-code generation failed within the redraw budget.
 
-    Means the configured alphabet/length cannot support the requested
-    number of live codes.
+    Means too many fresh draws collided with codes already live, for
+    instance because a batch was minted again from the same seed.
     """
 
 

@@ -1,9 +1,10 @@
 """Deterministic multi-party message bus with an in-path adversary.
 
 Actors exchange envelopes over lossy ordered channels driven by a single
-event heap: integer-second clock, per-channel FIFO, explicit tie-breaking,
-and all jitter drawn from one seeded stream, so a run is a pure function
-of its seed and every trace replays byte-identically.
+event heap: integer-second clock, a fixed latency per channel (so each
+channel is FIFO by construction) and explicit tie-breaking, so a run is
+a pure function of its cast and script and every trace replays
+byte-identically.
 
 Every transmission passes the adversary hook exactly once, including
 copies the adversary itself schedules; rules match on (channel, message
@@ -22,14 +23,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import ScenarioError, StepBudgetExceeded, WireError
-from .rng import DeterministicRng
 from .wire import Channel, Envelope, Header, peek_header
 
-DEFAULT_LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
+LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
 DEFAULT_STEP_BUDGET = 10_000
 
 
@@ -155,17 +155,22 @@ class Rule:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdversaryScript:
     """Ordered rules applied to live traffic, plus standalone injections.
 
     Injections are (at, data) pairs entered into the wire at the given
     time; they pass the rule hook like any other transmission. The script
-    holds no run state, so one script can drive any number of runs.
+    is immutable and holds no run state, so one script can drive any
+    number of runs.
     """
 
-    rules: List[Rule] = field(default_factory=list)
-    injections: List[Tuple[int, bytes]] = field(default_factory=list)
+    rules: Tuple[Rule, ...] = ()
+    injections: Tuple[Tuple[int, bytes], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "injections", tuple(self.injections))
 
 
 # -- actors -----------------------------------------------------------------
@@ -221,31 +226,22 @@ class Simulation:
 
     def __init__(
         self,
-        seed: int | str | bytes = 0,
         adversary: Optional[AdversaryScript] = None,
-        latency: Optional[Dict[Channel, int]] = None,
-        jitter_max: int = 0,
         step_budget: int = DEFAULT_STEP_BUDGET,
     ):
         self.now = 0
         self.adversary = adversary or AdversaryScript()
-        self.latency = dict(DEFAULT_LATENCY)
-        if latency:
-            self.latency.update(latency)
-        self.jitter_max = jitter_max
         self.step_budget = step_budget
         self.trace = ProtocolTrace()
         self.wire_log: List[WireRecord] = []
         #: transmissions copied by Observe rules
         self.captured: List[WireRecord] = []
         self._occurrences: Dict[Tuple[Channel, str], int] = {}
-        self._net_rng = DeterministicRng(seed, "net")
         self._actors: Dict[str, Actor] = {}
         self._order: List[str] = []
         self._heap: List[Tuple[int, int, str, tuple]] = []
         self._tie = 0
         self._event_seq = 0
-        self._fifo_floor: Dict[Channel, int] = {}
         self._timer_token = 0
         self._cancelled: set = set()
         self._steps = 0
@@ -260,9 +256,6 @@ class Simulation:
             raise ScenarioError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
         self._order.append(actor.name)
-
-    def actor(self, name: str) -> Actor:
-        return self._actors[name]
 
     # -- event plumbing ----------------------------------------------------
 
@@ -343,13 +336,8 @@ class Simulation:
             else:
                 raise ScenarioError(f"unknown adversary action {action!r}")
 
-        if dropped:
-            return
-        jitter = self._net_rng.below(self.jitter_max + 1) if self.jitter_max else 0
-        candidate = self.now + self.latency.get(header.channel, 1) + jitter
-        deliver_at = max(candidate, self._fifo_floor.get(header.channel, 0))
-        self._fifo_floor[header.channel] = deliver_at
-        self._push(deliver_at, "deliver", (data, header))
+        if not dropped:
+            self._push(self.now + LATENCY[header.channel], "deliver", (data, header))
 
     @staticmethod
     def _apply_tamper(data: bytes, header: Header, action: Tamper) -> bytes:
@@ -401,13 +389,13 @@ class Simulation:
         for name in self._order:
             self._actors[name].on_start(Ctx(self, name))
 
-    def run(self, step_budget: Optional[int] = None) -> None:
-        """Drain the heap to quiescence; raises if the budget is exceeded."""
-        budget = self.step_budget if step_budget is None else step_budget
+    def run(self) -> None:
+        """Drain the heap to quiescence; raises if the step budget is exceeded."""
         while self._heap:
             self._steps += 1
-            if self._steps > budget:
-                raise StepBudgetExceeded(f"exceeded {budget} events; runaway scenario?")
+            if self._steps > self.step_budget:
+                raise StepBudgetExceeded(
+                    f"exceeded {self.step_budget} events; runaway scenario?")
             at, _tie, kind, payload = heapq.heappop(self._heap)
             self.now = at
             if kind == "send":
@@ -429,23 +417,6 @@ class Simulation:
             if self.after_event is not None:
                 self.after_event(self)
 
-    def run_to_quiescence(self, step_budget: Optional[int] = None) -> None:
+    def run_to_quiescence(self) -> None:
         self.start()
-        self.run(step_budget)
-
-
-def run_scenario(actors, adversary: Optional[AdversaryScript] = None,
-                 seed: int | str | bytes = 0, **sim_kwargs) -> ProtocolTrace:
-    """Run a cast of actors to quiescence and return the trace.
-
-    The cast must include at least one client and one customer bank;
-    anything else is a fixture mistake, not a protocol outcome.
-    """
-    roles = {getattr(a, "role", None) for a in actors}
-    if "client" not in roles or "customer-bank" not in roles:
-        raise ScenarioError("actor set needs at least one client and a customer bank")
-    sim = Simulation(seed=seed, adversary=adversary, **sim_kwargs)
-    for actor in actors:
-        sim.add_actor(actor)
-    sim.run_to_quiescence()
-    return sim.trace
+        self.run()

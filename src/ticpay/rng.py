@@ -1,8 +1,8 @@
 """Seedable deterministic random generator for reproducible simulation runs.
 
 Every source of randomness in a run (TIC codes, secret keys, cookie
-tokens, vault salts, scheduler jitter) draws from a stream derived here,
-so identical seeds replay to byte-identical traces on any platform.
+tokens, vault salts) draws from a stream derived here, so identical
+seeds replay to byte-identical traces on any platform.
 The generator is an HMAC-SHA256 counter keystream: cryptographically
 styled output, but seedable and stable, which `random.Random` and
 `secrets` are not in combination.
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-from typing import Sequence, TypeVar
 
 _DOMAIN = b"ticpay.rng.v1"
-
-T = TypeVar("T")
 
 
 def _seed_bytes(seed: int | str | bytes) -> bytes:
@@ -60,9 +57,6 @@ class DeterministicRng:
             value = int.from_bytes(self.take(8), "big")
             if value < limit:
                 return value % n
-
-    def pick(self, seq: Sequence[T]) -> T:
-        return seq[self.below(len(seq))]
 
     def token(self, nbytes: int = 16) -> str:
         """Opaque lowercase-hex token (cookie tokens, ids)."""

@@ -14,15 +14,16 @@ every expectation and every enabled check comes out clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import yaml
 
 from ..auth_server import BankActor, BankServer
 from ..checks import (
+    MIN_SECRET_LEN,
     TEMPLATES,
     collect_secrets,
     conformance_check,
@@ -43,7 +44,6 @@ from ..netsim import (
     Tamper,
 )
 from ..payment import PaymentOrder, PayMode
-from ..rng import DeterministicRng
 from ..two_way import MerchantAgent, MerchantBank, TwoWayGateway
 from ..wire import Channel
 
@@ -73,6 +73,30 @@ def _get(mapping: dict, key: str, path: str, kind, required: bool = True, defaul
     return value
 
 
+def _at_least(value: Optional[int], low: int, path: str) -> Optional[int]:
+    if value is not None and value < low:
+        raise ScenarioError(f"{path}: must be >= {low}, got {value}")
+    return value
+
+
+def _account_id(mapping: dict, key: str, path: str) -> str:
+    # Account ids are leakage-scan secrets; a short one matches random
+    # ciphertext bytes and raises false alarms.
+    value = _get(mapping, key, path, str)
+    if len(value.encode("utf-8")) < MIN_SECRET_LEN:
+        raise ScenarioError(f"{path}.{key}: must be at least {MIN_SECRET_LEN} bytes")
+    return value
+
+
+def _strings(mapping: dict, key: str, path: str) -> Tuple[str, ...]:
+    items = _get(mapping, key, path, list, required=False, default=[])
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise ScenarioError(
+                f"{path}.{key}[{i}]: expected str, got {type(item).__name__}")
+    return tuple(items)
+
+
 def _reply_policy(value, path: str) -> str:
     # YAML 1.1 reads a bare yes/no as a boolean; accept either spelling.
     if isinstance(value, bool):
@@ -95,7 +119,7 @@ def _pin(value, path: str) -> Pin:
 # -- spec dataclasses ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientSpec:
     username: str
     password: str
@@ -110,10 +134,10 @@ class ClientSpec:
     reply_delay: int = 0
     mode: str = "electronic-transfer"
     login_password: Optional[str] = None  # device-side override for bad-credential runs
-    payments: List[PaymentOrder] = field(default_factory=list)
+    payments: Tuple[PaymentOrder, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MerchantSpec:
     merchant_id: str
     display_name: str
@@ -125,29 +149,32 @@ class MerchantSpec:
     cert_valid_until: int = 10**9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpectSpec:
-    outcomes: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    absent_notes: List[str] = field(default_factory=list)
-    absent_msg_types: List[str] = field(default_factory=list)
+    outcomes: Tuple[str, ...] = ()
+    notes: Tuple[str, ...] = ()
+    absent_notes: Tuple[str, ...] = ()
+    absent_msg_types: Tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
+    """A validated scenario; immutable, so one spec can drive any number of
+    runs and the CLI derives overrides with `dataclasses.replace`."""
+
     name: str
     description: str
     flow: str  # one-way | two-way
     seed: int
-    clients: List[ClientSpec]
+    clients: Tuple[ClientSpec, ...]
     merchant: Optional[MerchantSpec] = None
     bank_name: str = "cbank"
     cipher: str = "aes-gcm"
     sms_deadline: int = 300
     step_budget: int = 10_000
-    adversary: AdversaryScript = field(default_factory=AdversaryScript)
-    expect: ExpectSpec = field(default_factory=ExpectSpec)
-    checks: List[str] = field(default_factory=lambda: list(KNOWN_CHECKS))
+    adversary: AdversaryScript = AdversaryScript()
+    expect: ExpectSpec = ExpectSpec()
+    checks: Tuple[str, ...] = KNOWN_CHECKS
 
 
 def _parse_payment(raw, path: str) -> PaymentOrder:
@@ -162,7 +189,7 @@ def _parse_payment(raw, path: str) -> PaymentOrder:
         raise ScenarioError(f"{path}.amount: must be positive")
     order = PaymentOrder(
         mode=mode,
-        payee_account=_get(raw, "payee", path, str),
+        payee_account=_account_id(raw, "payee", path),
         amount=amount,
         invoice_number=_get(raw, "invoice", path, str, required=False),
     )
@@ -175,9 +202,9 @@ def _parse_client(raw, path: str, flow: str) -> ClientSpec:
     device_pin = _pin(device_pin_raw, f"{path}.device_pin") if device_pin_raw else pin
     payments_raw = _get(raw, "payments", path, list,
                         required=(flow == "one-way"), default=[])
-    payments = [
+    payments = tuple(
         _parse_payment(p, f"{path}.payments[{i}]") for i, p in enumerate(payments_raw)
-    ]
+    )
     if flow == "one-way" and not payments:
         raise ScenarioError(f"{path}.payments: one-way scenario needs at least one")
     return ClientSpec(
@@ -186,13 +213,14 @@ def _parse_client(raw, path: str, flow: str) -> ClientSpec:
         pin=pin,
         device_pin=device_pin,
         cell=_get(raw, "cell", path, str),
-        account_id=_get(raw, "account_id", path, str),
+        account_id=_account_id(raw, "account_id", path),
         balance=_get(raw, "balance", path, int),
         vault_password=_get(raw, "vault_password", path, str),
         tic_batch=_get(raw, "tic_batch", path, int),
         reply=_reply_policy(_get(raw, "reply", path, None, required=False,
                                  default="yes"), f"{path}.reply"),
-        reply_delay=_get(raw, "reply_delay", path, int, required=False, default=0),
+        reply_delay=_at_least(_get(raw, "reply_delay", path, int, required=False,
+                                   default=0), 0, f"{path}.reply_delay"),
         mode=_get(raw, "mode", path, str, required=False,
                   default="electronic-transfer"),
         login_password=_get(raw, "login_password", path, str, required=False),
@@ -204,7 +232,7 @@ def _parse_merchant(raw, path: str) -> MerchantSpec:
     return MerchantSpec(
         merchant_id=_get(raw, "id", path, str),
         display_name=_get(raw, "display_name", path, str),
-        account_id=_get(raw, "account_id", path, str),
+        account_id=_account_id(raw, "account_id", path),
         balance=_get(raw, "balance", path, int, required=False, default=0),
         price=_get(raw, "price", path, int),
         bank=_get(raw, "bank", path, str, required=False, default="mbank"),
@@ -220,7 +248,7 @@ def _parse_rule(raw, path: str) -> Rule:
     channel_name = _get(raw, "channel", path, str, required=False)
     if channel_name is not None and channel_name not in CHANNELS:
         raise ScenarioError(f"{path}.channel: expected one of {sorted(CHANNELS)}")
-    nth = _get(raw, "nth", path, int, required=False)
+    nth = _at_least(_get(raw, "nth", path, int, required=False), 1, f"{path}.nth")
     msg_type = _get(raw, "msg_type", path, str, required=False)
     if action_name == "observe":
         action = Observe()
@@ -228,16 +256,22 @@ def _parse_rule(raw, path: str) -> Rule:
         action = Drop()
     elif action_name == "replay":
         action = Replay(
-            delay=_get(raw, "delay", path, int, required=False, default=1),
-            copies=_get(raw, "copies", path, int, required=False, default=1),
+            delay=_at_least(_get(raw, "delay", path, int, required=False, default=1),
+                            0, f"{path}.delay"),
+            copies=_at_least(_get(raw, "copies", path, int, required=False, default=1),
+                             1, f"{path}.copies"),
         )
     elif action_name == "tamper":
         edits_raw = _get(raw, "edits", path, list)
         edits = []
         for i, e in enumerate(edits_raw):
+            edit_path = f"{path}.edits[{i}]"
+            mask = _get(e, "mask", edit_path, int, required=False, default=1)
+            if not 1 <= mask <= 255:
+                raise ScenarioError(f"{edit_path}.mask: must be in 1..255, got {mask}")
             edits.append((
-                _get(e, "offset", f"{path}.edits[{i}]", int),
-                _get(e, "mask", f"{path}.edits[{i}]", int, required=False, default=1),
+                _at_least(_get(e, "offset", edit_path, int), 0, f"{edit_path}.offset"),
+                mask,
             ))
         action = Tamper(edits=tuple(edits))
     else:
@@ -265,10 +299,10 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
     clients_raw = _get(raw, "clients", source, list)
     if not clients_raw:
         raise ScenarioError(f"{source}.clients: at least one client required")
-    clients = [
+    clients = tuple(
         _parse_client(c, f"{source}.clients[{i}]", flow)
         for i, c in enumerate(clients_raw)
-    ]
+    )
 
     merchant = None
     if flow == "two-way":
@@ -282,23 +316,19 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
         adv_raw = _get(raw, "adversary", source, dict)
         rules_raw = _get(adv_raw, "rules", f"{source}.adversary", list,
                          required=False, default=[])
-        adversary.rules = [
+        adversary = AdversaryScript(rules=tuple(
             _parse_rule(r, f"{source}.adversary.rules[{i}]")
             for i, r in enumerate(rules_raw)
-        ]
+        ))
 
     expect = ExpectSpec()
     if "expect" in raw:
         exp_raw = _get(raw, "expect", source, dict)
         expect = ExpectSpec(
-            outcomes=_get(exp_raw, "outcomes", f"{source}.expect", list,
-                          required=False, default=[]),
-            notes=_get(exp_raw, "notes", f"{source}.expect", list,
-                       required=False, default=[]),
-            absent_notes=_get(exp_raw, "absent_notes", f"{source}.expect", list,
-                              required=False, default=[]),
-            absent_msg_types=_get(exp_raw, "absent_msg_types", f"{source}.expect",
-                                  list, required=False, default=[]),
+            outcomes=_strings(exp_raw, "outcomes", f"{source}.expect"),
+            notes=_strings(exp_raw, "notes", f"{source}.expect"),
+            absent_notes=_strings(exp_raw, "absent_notes", f"{source}.expect"),
+            absent_msg_types=_strings(exp_raw, "absent_msg_types", f"{source}.expect"),
         )
 
     checks = _get(raw, "checks", source, list, required=False,
@@ -326,7 +356,7 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
                          default=10_000),
         adversary=adversary,
         expect=expect,
-        checks=list(checks),
+        checks=tuple(checks),
     )
 
 
@@ -405,8 +435,7 @@ def build_world(spec: ScenarioSpec) -> World:
         plan[c.username] = c.tic_batch
 
     bank_actor = BankActor(server, provision_plan=plan)
-    sim = Simulation(seed=spec.seed, adversary=spec.adversary,
-                     step_budget=spec.step_budget)
+    sim = Simulation(adversary=spec.adversary, step_budget=spec.step_budget)
     sim.add_actor(bank_actor)
 
     merchant_bank = None
@@ -438,7 +467,6 @@ def build_world(spec: ScenarioSpec) -> World:
             merchant=spec.merchant.merchant_id if spec.flow == "two-way" else None,
             mode=c.mode,
             cipher=spec.cipher,
-            rng=DeterministicRng(spec.seed, f"client|{c.username}"),
         )
         clients.append(client)
         sim.add_actor(client)
@@ -490,10 +518,10 @@ def _eval_expectations(world: World) -> List[CheckResult]:
     expect = world.spec.expect
     results = []
     if expect.outcomes:
+        want = list(expect.outcomes)
         got = world.clients[0].outcomes
         results.append(CheckResult(
-            "expect-outcomes", got == expect.outcomes,
-            f"expected {expect.outcomes}, got {got}"))
+            "expect-outcomes", got == want, f"expected {want}, got {got}"))
     notes = _note_text(world)
     for needle in expect.notes:
         results.append(CheckResult(

@@ -1,33 +1,31 @@
-"""Bank-side TIC lifecycle: generation, issuance, matching, single use, expiry.
+"""Bank-side TIC lifecycle: generation, issuance, matching, single use.
 
 A TIC (transaction identification code) is a one-time code that both
 authenticates a single transaction and seeds the key that encrypts that
 transaction's details. The registry is the bank's book of record: codes
 are unique across all live records, verification consumes exactly one
-record, and consumed or expired records can never verify again.
+record, and a consumed record can never verify again.
 
-Generation is a pure function of (account, count, seed, config) so runs
-replay deterministically; the generator sits behind this module so a
-bank can swap in stronger schemes without touching callers.
+Every code is 16 symbols of the upper-case alphanumeric alphabet.
+Generation is a pure function of (account, count, seed) against the
+registry's contents, so runs replay deterministically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CollisionExhaustion
 from .rng import DeterministicRng
 
-ALPHABETS = {
-    "digits": "0123456789",
-    "alphanumeric-upper": "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ",
-}
-
-CODE_LENGTHS = (8, 16)
+ALPHABET_NAME = "alphanumeric-upper"  # named in the vault header and the stream label
+ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+CODE_LENGTH = 16
+REDRAW_BUDGET = 1000  # collisions tolerated per batch before generation gives up
 
 
 def code_digest(value: str) -> str:
@@ -36,33 +34,13 @@ def code_digest(value: str) -> str:
 
 
 @dataclass(frozen=True)
-class RegistryConfig:
-    code_length: int = 16
-    alphabet: str = "alphanumeric-upper"
-    default_ttl: Optional[int] = None  # seconds; None means codes never expire
-    redraw_budget: int = 1000
-
-    def __post_init__(self):
-        if self.code_length not in CODE_LENGTHS:
-            raise ValueError(f"code length must be one of {CODE_LENGTHS}")
-        if self.alphabet not in ALPHABETS:
-            raise ValueError(f"alphabet must be one of {sorted(ALPHABETS)}")
-
-    @property
-    def symbols(self) -> str:
-        return ALPHABETS[self.alphabet]
-
-
-@dataclass(frozen=True)
 class TicCode:
     value: str
-    alphabet: str = "alphanumeric-upper"
 
     def __post_init__(self):
-        symbols = ALPHABETS[self.alphabet]
-        if len(self.value) not in CODE_LENGTHS:
-            raise ValueError(f"code length {len(self.value)} not in {CODE_LENGTHS}")
-        bad = [ch for ch in self.value if ch not in symbols]
+        if len(self.value) != CODE_LENGTH:
+            raise ValueError(f"code length {len(self.value)} is not {CODE_LENGTH}")
+        bad = [ch for ch in self.value if ch not in ALPHABET]
         if bad:
             raise ValueError(f"symbols {bad!r} outside declared alphabet")
 
@@ -70,15 +48,12 @@ class TicCode:
 class TicState(Enum):
     ISSUED = "issued"
     CONSUMED = "consumed"
-    EXPIRED = "expired"
 
 
 @dataclass
 class TicRecord:
     code: TicCode
     account_id: str
-    issued_at: int
-    expires_at: Optional[int]
     state: TicState = TicState.ISSUED
 
     def transition(self, new_state: TicState) -> None:
@@ -92,13 +67,12 @@ class TicRecord:
 class TicBatch:
     account_id: str
     codes: Tuple[TicCode, ...]
-    batch_id: str
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     accepted: bool
-    reason: Optional[str] = None  # unknown | already-used | expired | wrong-account
+    reason: Optional[str] = None  # unknown | already-used | wrong-account
 
     ACCEPTED: "VerifyResult" = None  # type: ignore[assignment]
 
@@ -113,36 +87,25 @@ VerifyResult.ACCEPTED = VerifyResult(accepted=True)
 class TicRegistry:
     """Book of record for issued codes; verification is consume-once."""
 
-    def __init__(self, config: RegistryConfig | None = None):
-        self.config = config or RegistryConfig()
+    def __init__(self):
         self._records: Dict[str, TicRecord] = {}  # keyed by code value, registry-wide
-        self._batch_counter = 0
         self._lock = threading.Lock()
         #: (account_id, code value) pairs that returned Accepted, in order.
         self.accepted_log: List[Tuple[str, str]] = []
 
-    def _draw(self, rng: DeterministicRng) -> str:
-        symbols = self.config.symbols
-        return "".join(symbols[rng.below(len(symbols))] for _ in range(self.config.code_length))
+    @staticmethod
+    def _draw(rng: DeterministicRng) -> str:
+        return "".join(ALPHABET[rng.below(len(ALPHABET))] for _ in range(CODE_LENGTH))
 
-    def generate_tics(
-        self,
-        account_id: str,
-        count: int,
-        seed: int | str | bytes,
-        now: int = 0,
-        ttl: Optional[int] = None,
-    ) -> TicBatch:
+    def generate_tics(self, account_id: str, count: int, seed: int | str | bytes) -> TicBatch:
         """Mint `count` distinct codes for an account and register them as issued.
 
-        Deterministic: identical (account_id, count, seed, config) against the
-        same registry contents yields an identical batch.
+        Deterministic: identical (account_id, count, seed) against the same
+        registry contents yields an identical batch.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        cfg = self.config
-        rng = DeterministicRng(seed, f"tic|{account_id}|{cfg.code_length}|{cfg.alphabet}")
-        ttl = cfg.default_ttl if ttl is None else ttl
+        rng = DeterministicRng(seed, f"tic|{account_id}|{CODE_LENGTH}|{ALPHABET_NAME}")
         with self._lock:
             fresh: List[TicCode] = []
             seen = set()
@@ -153,31 +116,19 @@ class TicRegistry:
                 collides = value in seen or (live is not None and live.state is TicState.ISSUED)
                 if collides:
                     redraws += 1
-                    if redraws > cfg.redraw_budget:
+                    if redraws > REDRAW_BUDGET:
                         raise CollisionExhaustion(
                             f"could not draw {count} distinct codes within "
-                            f"{cfg.redraw_budget} redraws (length {cfg.code_length}, "
-                            f"alphabet {cfg.alphabet})"
+                            f"{REDRAW_BUDGET} redraws"
                         )
                     continue
                 seen.add(value)
-                fresh.append(TicCode(value=value, alphabet=cfg.alphabet))
-            self._batch_counter += 1
-            batch = TicBatch(
-                account_id=account_id,
-                codes=tuple(fresh),
-                batch_id=f"B{self._batch_counter:04d}",
-            )
+                fresh.append(TicCode(value=value))
             for code in fresh:
-                self._records[code.value] = TicRecord(
-                    code=code,
-                    account_id=account_id,
-                    issued_at=now,
-                    expires_at=None if ttl is None else now + ttl,
-                )
-            return batch
+                self._records[code.value] = TicRecord(code=code, account_id=account_id)
+            return TicBatch(account_id=account_id, codes=tuple(fresh))
 
-    def verify_and_consume(self, account_id: str, candidate, now: int = 0) -> VerifyResult:
+    def verify_and_consume(self, account_id: str, candidate) -> VerifyResult:
         """Accept and consume a live code, or reject with the internal reason.
 
         The reason granularity is for traces and tests; callers expose only a
@@ -190,52 +141,12 @@ class TicRegistry:
                 return VerifyResult.rejected("unknown")
             if record.state is TicState.CONSUMED:
                 return VerifyResult.rejected("already-used")
-            if record.state is TicState.EXPIRED:
-                return VerifyResult.rejected("expired")
-            if record.expires_at is not None and record.expires_at < now:
-                record.transition(TicState.EXPIRED)
-                return VerifyResult.rejected("expired")
             if record.account_id != account_id:
                 return VerifyResult.rejected("wrong-account")
             record.transition(TicState.CONSUMED)
             self.accepted_log.append((account_id, value))
             return VerifyResult.ACCEPTED
 
-    def expire_stale(self, now: int) -> int:
-        """Expire every issued record whose deadline passed; idempotent."""
-        expired = 0
-        with self._lock:
-            for record in self._records.values():
-                if (
-                    record.state is TicState.ISSUED
-                    and record.expires_at is not None
-                    and record.expires_at < now
-                ):
-                    record.transition(TicState.EXPIRED)
-                    expired += 1
-        return expired
-
-    def live_count(self, account_id: Optional[str] = None) -> int:
-        return sum(
-            1
-            for r in self._records.values()
-            if r.state is TicState.ISSUED
-            and (account_id is None or r.account_id == account_id)
-        )
-
     def issued_values(self) -> List[str]:
         """All code values ever registered (white-box; for leakage scans)."""
         return list(self._records)
-
-    def snapshot(self) -> List[dict]:
-        """Trace-safe view: codes appear only as one-way digests."""
-        return [
-            {
-                "account_id": r.account_id,
-                "code_digest": code_digest(r.code.value),
-                "state": r.state.value,
-                "issued_at": r.issued_at,
-                "expires_at": r.expires_at,
-            }
-            for r in self._records.values()
-        ]

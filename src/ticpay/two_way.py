@@ -33,7 +33,7 @@ from .rng import DeterministicRng
 from .wire import Channel, Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
 
 SIGNATURE_LEN = 32
-DEFAULT_AUTH_DEADLINE = 60
+AUTH_DEADLINE = 60  # seconds the customer bank waits for a merchant verdict
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ class MerchantBank(Actor):
     def __init__(self, name: str = "mbank", seed: int | str | bytes = 0,
                  cipher: str = "aes-gcm"):
         self.name = name
-        self.role = "merchant-bank"
         self._rng = DeterministicRng(seed, f"mbank|{name}")
         self._cert_key = self._rng.child("cert-key").take(32)
         self.suite = CryptoSuite(cipher)
@@ -266,7 +265,6 @@ class MerchantAgent(Actor):
     def __init__(self, record: MerchantRecord, bank: str, price: int,
                  cipher: str = "aes-gcm"):
         self.name = record.merchant_id
-        self.role = "merchant"
         self.record = record
         self.bank = bank
         self.price = price
@@ -338,12 +336,10 @@ class TwoWayGateway:
 
     HANDLED = frozenset({"merchant_auth_request", "merchant_auth_verdict"})
 
-    def __init__(self, bank_actor, known_banks: Optional[set] = None,
-                 auth_deadline: int = DEFAULT_AUTH_DEADLINE):
+    def __init__(self, bank_actor, known_banks: Optional[set] = None):
         self.bank_actor = bank_actor
         self.server = bank_actor.server
         self.known_banks = set(known_banks or ())
-        self.auth_deadline = auth_deadline
         self.requests: Dict[str, _RequestState] = {}
         self._notice_counter = 0
         bank_actor.gateway = self
@@ -397,7 +393,7 @@ class TwoWayGateway:
             }, request_id=state.request_id,
         ))
         state.timer_token = ctx.set_timer(
-            f"merchant-auth-timeout|{state.request_id}", delay=self.auth_deadline,
+            f"merchant-auth-timeout|{state.request_id}", delay=AUTH_DEADLINE,
         )
 
     def _on_verdict(self, ctx: Ctx, env: Envelope) -> None:

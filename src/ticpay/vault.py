@@ -1,13 +1,16 @@
 """Sealed-at-rest store for the client's issued TIC codes.
 
 Codes arrive from the bank in a batch and sit on the device encrypted
-under a password-derived key until the moment one is spent. A picked
-code is removed from the stored list, the vault reseals after every
-mutation, and serialization is a stable byte format so a saved vault
-reloads bit-exactly.
+under a password-derived key until the moment one is spent. Codes are
+spent oldest first: a picked code is removed from the stored list, the
+vault reseals after every mutation, and serialization is a stable byte
+format so a saved vault reloads bit-exactly.
 
-The clear header carries only KDF inputs and a seal counter; code
-values, even the remaining count, live inside the sealed blob.
+The clear header carries only KDF inputs, the code alphabet, the cipher
+name and a seal counter; code values, even the remaining count, live
+inside the sealed blob. The header is not authenticated, so parsing
+accepts only the one work factor and alphabet the system uses and a
+known cipher.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .crypto import KEY_LEN, CryptoSuite, NonceSequence
+from .crypto import _CIPHERS, KEY_LEN, CryptoSuite, NonceSequence
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
-from .tic_registry import ALPHABETS, TicCode
+from .tic_registry import ALPHABET_NAME, TicCode
 from .wire import Ciphertext, KeyRole, Reader, str16, u16, u32, u64
 
 VAULT_MAGIC = b"TV"
@@ -27,8 +30,8 @@ SALT_LEN = 16
 KDF_ITERATIONS = 2048  # simulation-grade work factor, not a production setting
 
 
-def _vault_key(password: str, salt: bytes, iterations: int) -> bytes:
-    return hashlib.pbkdf2_hmac("sha256", password.encode("utf-8"), salt, iterations, KEY_LEN)
+def _vault_key(password: str, salt: bytes) -> bytes:
+    return hashlib.pbkdf2_hmac("sha256", password.encode("utf-8"), salt, KDF_ITERATIONS, KEY_LEN)
 
 
 @dataclass
@@ -42,19 +45,13 @@ class TicVault:
     def __init__(
         self,
         salt: bytes,
-        iterations: int,
-        alphabet: str,
         sealed: Ciphertext,
         seal_count: int,
         cipher: str = "aes-gcm",
     ):
         if len(salt) != SALT_LEN:
             raise ValueError(f"salt must be {SALT_LEN} bytes")
-        if alphabet not in ALPHABETS:
-            raise ValueError(f"alphabet must be one of {sorted(ALPHABETS)}")
         self.salt = salt
-        self.iterations = iterations
-        self.alphabet = alphabet
         self._sealed = sealed
         self._seal_count = seal_count
         self._cipher_name = cipher
@@ -70,8 +67,6 @@ class TicVault:
         codes: Sequence,
         password: str,
         salt: bytes,
-        alphabet: str = "alphanumeric-upper",
-        iterations: int = KDF_ITERATIONS,
         cipher: str = "aes-gcm",
     ) -> "TicVault":
         """Build an unlocked vault around a fresh batch (may be empty)."""
@@ -79,15 +74,13 @@ class TicVault:
             raise ValueError(f"salt must be {SALT_LEN} bytes")
         values = [getattr(c, "value", c) for c in codes]
         for v in values:
-            TicCode(value=v, alphabet=alphabet)  # validates symbols and length
+            TicCode(value=v)  # validates symbols and length
         vault = cls.__new__(cls)
         vault.salt = bytes(salt)
-        vault.iterations = iterations
-        vault.alphabet = alphabet
         vault._seal_count = 0
         vault._cipher_name = cipher
         vault._suite = CryptoSuite(cipher, nonces=NonceSequence(start=1))
-        vault._key = _vault_key(password, vault.salt, iterations)
+        vault._key = _vault_key(password, vault.salt)
         vault._contents = _Contents(values=values)
         vault._sealed = None  # set by _reseal
         vault._reseal()
@@ -101,7 +94,7 @@ class TicVault:
 
     def unlock(self, password: str) -> None:
         """Derive the key and open the blob; wrong password fails closed."""
-        key = _vault_key(password, self.salt, self.iterations)
+        key = _vault_key(password, self.salt)
         try:
             plaintext = self._suite.open_blob(self._sealed, KeyRole.VAULT_KEYED, key, "vault")
         except IntegrityFailure as exc:
@@ -137,41 +130,16 @@ class TicVault:
 
     def codes(self) -> List[TicCode]:
         contents = self._require_unlocked()
-        return [TicCode(value=v, alphabet=self.alphabet) for v in contents.values]
+        return [TicCode(value=v) for v in contents.values]
 
-    def pick(self, index: int = 0) -> TicCode:
-        """Remove and return the code at `index` (0 = first issued).
-
-        First-issued order is the default policy; an index drawn uniformly
-        gives the anything-goes pick the protocol also permits.
-        """
+    def pick(self) -> TicCode:
+        """Remove and return the oldest unused code, resealing the vault."""
         contents = self._require_unlocked()
         if not contents.values:
             raise VaultEmpty("no unused codes remain in the vault")
-        if not 0 <= index < len(contents.values):
-            raise IndexError(f"pick index {index} out of range")
-        value = contents.values.pop(index)
+        value = contents.values.pop(0)
         self._reseal()
-        return TicCode(value=value, alphabet=self.alphabet)
-
-    def pick_next(self) -> TicCode:
-        """Return the oldest unused code and retire it locally."""
-        return self.pick(0)
-
-    def change_password(self, old_password: str, new_password: str,
-                        new_salt: Optional[bytes] = None) -> None:
-        """Re-key the vault; the default new salt is derived so runs replay."""
-        if self.locked:
-            self.unlock(old_password)
-        elif self._key != _vault_key(old_password, self.salt, self.iterations):
-            raise IntegrityFailure("vault password rejected")
-        if new_salt is None:
-            new_salt = hashlib.sha256(b"vault-rotate|" + self.salt).digest()[:SALT_LEN]
-        if len(new_salt) != SALT_LEN:
-            raise ValueError(f"salt must be {SALT_LEN} bytes")
-        self.salt = bytes(new_salt)
-        self._key = _vault_key(new_password, self.salt, self.iterations)
-        self._reseal()
+        return TicCode(value=value)
 
     # -- persistence --------------------------------------------------------
 
@@ -181,8 +149,8 @@ class TicVault:
         out.append(VAULT_VERSION)
         out += u64(self._seal_count)
         out += self.salt
-        out += u32(self.iterations)
-        out += str16(self.alphabet)
+        out += u32(KDF_ITERATIONS)
+        out += str16(ALPHABET_NAME)
         out += str16(self._cipher_name)
         blob = self._sealed.to_bytes()
         out += u32(len(blob))
@@ -198,17 +166,16 @@ class TicVault:
             raise WireError("unsupported vault version")
         seal_count = reader.u64()
         salt = reader.take(SALT_LEN)
-        iterations = reader.u32()
-        alphabet = reader.str16()
+        if reader.u32() != KDF_ITERATIONS:
+            raise WireError(f"vault work factor is not {KDF_ITERATIONS}")
+        if reader.str16() != ALPHABET_NAME:
+            raise WireError(f"vault alphabet is not {ALPHABET_NAME}")
         cipher = reader.str16()
+        if cipher not in _CIPHERS:
+            raise WireError("unknown vault cipher")
         blob_len = reader.u32()
         sealed = Ciphertext.from_bytes(reader.take(blob_len))
+        if sealed.role is not KeyRole.VAULT_KEYED:
+            raise WireError("vault blob is not vault-keyed")
         reader.expect_end()
-        return cls(
-            salt=salt,
-            iterations=iterations,
-            alphabet=alphabet,
-            sealed=sealed,
-            seal_count=seal_count,
-            cipher=cipher,
-        )
+        return cls(salt=salt, sealed=sealed, seal_count=seal_count, cipher=cipher)

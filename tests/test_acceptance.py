@@ -27,7 +27,7 @@ from ticpay.errors import IntegrityFailure, WireError
 from ticpay.netsim import AdversaryScript, Drop, Replay, Rule, Simulation
 from ticpay.payment import PayMode, PaymentOrder
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec
-from ticpay.tic_registry import ALPHABETS
+from ticpay.tic_registry import ALPHABET
 from ticpay.two_way import MerchantAgent, MerchantBank, TwoWayGateway
 from ticpay.wire import Channel, Envelope, F, KeyRole, encode_fields
 
@@ -63,7 +63,7 @@ def one_way_run(*, seed, payments, reply="yes", reply_delay=0, sms_deadline=300,
         name="alice", password="pw", pin=PIN, vault_password="vp",
         payments=list(payments), reply_policy=reply, reply_delay=reply_delay,
     )
-    sim = Simulation(seed=seed, adversary=adversary)
+    sim = Simulation(adversary=adversary)
     sim.add_actor(bank)
     sim.add_actor(client)
     baseline = server.total_funds()
@@ -196,7 +196,7 @@ def test_commit_happens_exactly_when_an_on_time_yes_arrives():
 def run_bundled(name, cipher=None):
     spec = load_spec(find_bundled(name))
     if cipher is not None:
-        spec.cipher = cipher
+        spec = replace(spec, cipher=cipher)
     world = build_world(spec)
     world.sim.run_to_quiescence()
     return world
@@ -322,7 +322,7 @@ def test_a_thousand_logins_share_no_cookie_or_key():
 def test_ten_thousand_round_trips_per_role_and_no_wrong_key_opens():
     rnd = random.Random(0xC6)
     suite = CryptoSuite()
-    symbols = ALPHABETS["alphanumeric-upper"]
+    symbols = ALPHABET
 
     def random_code():
         return "".join(rnd.choice(symbols) for _ in range(16))
@@ -425,7 +425,7 @@ def two_way_run(*, seed=31, mangle=None, known_banks=("mbank",), adversary=None)
         name="alice", password="pw", pin=PIN, vault_password="vp",
         merchant="shopzone", mode="credit-card",
     )
-    sim = Simulation(seed=seed, adversary=adversary)
+    sim = Simulation(adversary=adversary)
     for actor in (client, bank_actor, merchant, mbank):
         sim.add_actor(actor)
     baseline = total_funds([server, mbank])

@@ -8,7 +8,7 @@ from ticpay.auth_server import BankActor, BankServer
 from ticpay.client_agent import ClientAgent
 from ticpay.crypto import Pin
 from ticpay.errors import IntegrityFailure
-from ticpay.netsim import AdversaryScript, Simulation
+from ticpay.netsim import AdversaryScript, Rule, Simulation, Tamper
 from ticpay.payment import PayMode, PaymentOrder
 from ticpay.wire import Channel, Envelope, F
 
@@ -46,8 +46,8 @@ def build(client_kw=None, server_kw=None, provision=2, payments=None):
     return server, bank, client
 
 
-def run(actors, adversary=None, seed=5) -> Simulation:
-    sim = Simulation(seed=seed, adversary=adversary)
+def run(actors, adversary=None) -> Simulation:
+    sim = Simulation(adversary=adversary)
     for actor in actors:
         sim.add_actor(actor)
     sim.run_to_quiescence()
@@ -65,8 +65,6 @@ def sent_types(sim) -> list:
 def test_client_rejects_unknown_policies():
     with pytest.raises(ValueError):
         ClientAgent(name="a", password="p", pin=PIN, vault_password="v", reply_policy="maybe")
-    with pytest.raises(ValueError):
-        ClientAgent(name="a", password="p", pin=PIN, vault_password="v", pick_policy="last")
 
 
 # -- end-to-end flows ------------------------------------------------------------
@@ -113,7 +111,9 @@ def test_wrong_vault_password_sends_nothing():
     assert client.outcomes == ["vault-failure"]
     assert "alice: vault-failure cause=IntegrityFailure" in notes(sim)
     assert "payment_submit" not in sent_types(sim)
-    assert server.registry.live_count("ACC-1001") == 2  # nothing spent
+    # nothing spent: both issued codes are still live
+    assert len(server.registry.issued_values()) == 2
+    assert server.registry.accepted_log == []
 
 
 def test_bad_login_abandons_the_queue_instead_of_retrying_forever():
@@ -135,7 +135,8 @@ def test_decline_policy_aborts_without_spending():
     assert client.outcomes == ["aborted"]
     assert server.balances["ACC-1001"] == 100_000
     # the code is still gone: acceptance consumed it before the decline
-    assert server.registry.live_count("ACC-1001") == 1
+    assert len(server.registry.issued_values()) == 2
+    assert len(server.registry.accepted_log) == 1
 
 
 def test_silence_times_out_server_side():
@@ -200,10 +201,27 @@ def test_exhausted_vault_fails_the_remaining_payment():
     assert server.balances["ACC-1001"] == 100_000 - 2599
 
 
-def test_random_pick_policy_still_commits():
-    server, bank, client = build(
-        client_kw={"pick_policy": "random"}, provision=5
-    )
-    run([client, bank])
-    assert client.outcomes == ["committed"]
-    assert client.vault.remaining() == 4
+# Body offsets inside a tic_provision envelope: a 6-byte field prefix, then
+# the vault header (magic 2, version 1, seal count 8, salt 16, iterations 4,
+# alphabet as a 2-byte length plus text, cipher likewise, blob length 4),
+# then the sealed blob, whose first byte is its key role.
+VAULT_ITERATIONS_LOW_BYTE = 6 + 27 + 3
+VAULT_ALPHABET_TEXT = 6 + 31 + 2
+VAULT_CIPHER_TEXT = VAULT_ALPHABET_TEXT + len("alphanumeric-upper") + 2
+VAULT_BLOB_ROLE = VAULT_CIPHER_TEXT + len("aes-gcm") + 4
+
+
+@pytest.mark.parametrize("offset", [
+    VAULT_ITERATIONS_LOW_BYTE, VAULT_ALPHABET_TEXT, VAULT_CIPHER_TEXT, VAULT_BLOB_ROLE,
+])
+def test_tampered_provision_is_rejected_and_the_run_completes(offset):
+    server, bank, client = build()
+    adversary = AdversaryScript(rules=[
+        Rule(action=Tamper(edits=((offset, 0x01),)), msg_type="tic_provision"),
+    ])
+    sim = run([client, bank], adversary=adversary)
+    assert any(line.startswith("alice: provision-rejected") for line in notes(sim))
+    assert client.vault is None
+    assert "login_request" not in sent_types(sim)
+    assert client.outcomes == []
+

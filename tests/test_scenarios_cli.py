@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from click.testing import CliRunner
 
+from ticpay.checks import leakage_scan
 from ticpay.cli import main
 from ticpay.errors import ScenarioError
 from ticpay.scenarios import (
@@ -40,11 +42,11 @@ def minimal_raw(**overrides) -> dict:
                 "password": "pw",
                 "pin": "00112233445566aa",
                 "cell": "+27-82-000-0001",
-                "account_id": "ACC-1",
+                "account_id": "ACC-1001",
                 "balance": 10_000,
                 "vault_password": "vp",
                 "tic_batch": 1,
-                "payments": [{"amount": 10, "payee": "ACC-2"}],
+                "payments": [{"amount": 10, "payee": "ACC-9914"}],
             }
         ],
     }
@@ -58,7 +60,7 @@ def minimal_raw(**overrides) -> dict:
 def test_minimal_document_parses_and_runs_green():
     spec = parse_spec(minimal_raw())
     assert spec.flow == "one-way"
-    assert spec.checks == ["conformance", "leakage", "conservation", "blindness"]
+    assert spec.checks == ("conformance", "leakage", "conservation", "blindness")
     report = run_spec(spec)
     assert report.passed, report.render()
 
@@ -89,12 +91,37 @@ def test_errors_name_the_offending_field():
     expect_error(bool_balance, "expected integer, got boolean")
 
     bad_amount = minimal_raw()
-    bad_amount["clients"][0]["payments"] = [{"amount": -5, "payee": "ACC-2"}]
+    bad_amount["clients"][0]["payments"] = [{"amount": -5, "payee": "ACC-9914"}]
     expect_error(bad_amount, "payments[0].amount: must be positive")
 
     no_payments = minimal_raw()
     no_payments["clients"][0]["payments"] = []
     expect_error(no_payments, "one-way scenario needs at least one")
+
+    negative_delay = minimal_raw()
+    negative_delay["clients"][0]["reply_delay"] = -1
+    expect_error(negative_delay, "clients[0].reply_delay: must be >= 0")
+
+    expect_error(minimal_raw(expect={"notes": [42]}),
+                 "scenario.expect.notes[0]: expected str, got int")
+    expect_error(minimal_raw(expect={"outcomes": ["committed", None]}),
+                 "scenario.expect.outcomes[1]: expected str")
+
+    # The leakage scan treats every account id as a secret; a short one
+    # matches random ciphertext bytes.
+    short_account = minimal_raw()
+    short_account["clients"][0]["account_id"] = "A4"
+    expect_error(short_account, "scenario.clients[0].account_id: must be at least 8 bytes")
+
+    short_payee = minimal_raw()
+    short_payee["clients"][0]["payments"] = [{"amount": 10, "payee": "ACC-2"}]
+    expect_error(short_payee, "clients[0].payments[0].payee: must be at least 8 bytes")
+
+    short_merchant = minimal_raw(flow="two-way", merchant={
+        "id": "shopzone", "display_name": "Shop", "account_id": "MAC-7", "price": 10,
+    })
+    short_merchant["clients"][0].pop("payments")
+    expect_error(short_merchant, "scenario.merchant.account_id: must be at least 8 bytes")
 
 
 def test_two_way_requires_a_merchant_block():
@@ -116,6 +143,19 @@ def test_adversary_rule_validation():
         minimal_raw(adversary={"rules": [{"action": "tamper"}]}),
         "rules[0].edits: missing",
     )
+    # Out-of-range values that used to disarm an attack or fail mid-run.
+    for rule, fragment in [
+        ({"action": "drop", "nth": 0}, "rules[0].nth: must be >= 1, got 0"),
+        ({"action": "replay", "copies": 0}, "rules[0].copies: must be >= 1"),
+        ({"action": "replay", "delay": -1}, "rules[0].delay: must be >= 0"),
+        ({"action": "tamper", "edits": [{"offset": 3, "mask": 0}]},
+         "rules[0].edits[0].mask: must be in 1..255, got 0"),
+        ({"action": "tamper", "edits": [{"offset": 3, "mask": 256}]},
+         "rules[0].edits[0].mask: must be in 1..255"),
+        ({"action": "tamper", "edits": [{"offset": -1}]},
+         "rules[0].edits[0].offset: must be >= 0"),
+    ]:
+        expect_error(minimal_raw(adversary={"rules": [rule]}), fragment)
 
 
 def test_reply_policy_accepts_yaml_booleans():
@@ -152,6 +192,28 @@ def test_bundled_scenario_passes(name):
     assert report.passed, report.render()
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenario_passes_at_every_sweep_seed(name):
+    # One loaded spec per scenario, re-seeded with replace: a verdict must
+    # not depend on the seed or on how often the spec already ran.
+    spec = load_spec(find_bundled(name))
+    failed = [seed for seed in range(50) if not run_spec(replace(spec, seed=seed)).passed]
+    assert failed == []
+
+
+def test_specs_are_immutable():
+    spec = load_spec(find_bundled("happy-twoway"))
+    attacked = load_spec(find_bundled("tamper-order"))
+    parts = (spec, spec.clients[0], spec.merchant, spec.expect, attacked.adversary)
+    for part in parts:
+        with pytest.raises(FrozenInstanceError):
+            setattr(part, fields(part)[0].name, None)
+    assert isinstance(spec.clients, tuple) and isinstance(spec.checks, tuple)
+    assert isinstance(spec.expect.notes, tuple)
+    assert isinstance(attacked.adversary.rules, tuple)
+    assert isinstance(attacked.adversary.injections, tuple)
+
+
 def test_failing_expectation_turns_the_report_red():
     raw = minimal_raw(expect={"outcomes": ["aborted"]})
     report = run_spec(parse_spec(raw))
@@ -180,6 +242,16 @@ def test_null_cipher_flips_the_leakage_check_into_a_control():
     control = next(r for r in report.results if r.name == "leakage-control")
     assert control.passed
     assert "findings with identity cipher" in control.detail
+
+
+def test_leakage_scan_refuses_short_secrets():
+    # A short secret would match random ciphertext, so it gets no verdict.
+    report = run_spec(parse_spec(minimal_raw(checks=["leakage"])))
+    secrets = dict(report.world.secrets(), short=b"A4")
+    with pytest.raises(ValueError, match="'short' is 2 bytes"):
+        leakage_scan(report.world.sim.wire_log, secrets)
+    with pytest.raises(ValueError, match="'empty' is 0 bytes"):
+        leakage_scan([], {"empty": b""})
 
 
 # -- command line ----------------------------------------------------------------------
@@ -230,12 +302,12 @@ clients:
     password: pw
     pin: "00112233445566aa"
     cell: "+1"
-    account_id: ACC-1
+    account_id: ACC-1001
     balance: 1000
     vault_password: vp
     tic_batch: 1
     payments:
-      - {amount: 10, payee: ACC-2}
+      - {amount: 10, payee: ACC-9914}
 expect:
   outcomes: [aborted]
 """
@@ -283,6 +355,11 @@ def test_cli_rejects_unknown_checks():
     result = invoke("run", "happy-oneway", "--checks", "leakage,nonsense")
     assert result.exit_code == 2
     assert "nonsense" in result.stderr
+    # an empty list used to run no checks at all and report PASS
+    for empty in ("", " , "):
+        result = invoke("run", "happy-oneway", "--checks", empty)
+        assert result.exit_code == 2
+        assert "--checks" in result.stderr
 
 
 def test_cli_verbose_prints_events():

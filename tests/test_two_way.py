@@ -160,9 +160,9 @@ def two_way_world(valid_from=0, valid_until=10**9, known_banks=("mbank",),
     return server, bank_actor, mbank, merchant, gateway, client
 
 
-def run_world(world, adversary=None, seed=21):
+def run_world(world, adversary=None):
     server, bank_actor, mbank, merchant, gateway, client = world
-    sim = Simulation(seed=seed, adversary=adversary)
+    sim = Simulation(adversary=adversary)
     for actor in (client, bank_actor, merchant, mbank):
         sim.add_actor(actor)
     sim.run_to_quiescence()
@@ -254,7 +254,8 @@ def test_replayed_settle_notice_credits_once():
 
 
 def test_gate_refuses_ungated_requests():
-    server = BankServer(seed=1, payment_gate=lambda request_id: False)
+    server = BankServer(seed=1)
+    server.payment_gate = lambda request_id: False
     server.enroll(
         username="alice", password="hunter2", pin=PIN, cell_number="+0",
         account_id="ACC-1001", balance=1_000, vault_password="d",

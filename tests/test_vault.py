@@ -23,7 +23,7 @@ def fresh_vault(codes=None, password: str = PASSWORD) -> TicVault:
 
 def open_sealed_blob(vault: TicVault, password: str) -> list:
     """Independent read of the sealed payload: PBKDF2 + raw AESGCM + layout."""
-    key = hashlib.pbkdf2_hmac("sha256", password.encode(), vault.salt, vault.iterations, 32)
+    key = hashlib.pbkdf2_hmac("sha256", password.encode(), vault.salt, KDF_ITERATIONS, 32)
     sealed = vault._sealed
     plain = AESGCM(key).decrypt(sealed.nonce, sealed.body + sealed.tag, b"blob|vault")
     reader = Reader(plain)
@@ -74,24 +74,16 @@ def test_wrong_password_fails_closed():
 
 def test_pick_consumes_in_issue_order():
     vault = fresh_vault()
-    assert vault.pick_next().value == CODES[0]
-    assert vault.pick_next().value == CODES[1]
+    assert vault.pick().value == CODES[0]
+    assert vault.pick().value == CODES[1]
     assert vault.remaining() == 1
     # a reloaded copy must agree that the picked codes are gone
     reloaded = TicVault.from_bytes(vault.to_bytes())
     reloaded.unlock(PASSWORD)
     assert [c.value for c in reloaded.codes()] == [CODES[2]]
-
-
-def test_pick_by_index_and_bounds():
-    vault = fresh_vault()
-    assert vault.pick(1).value == CODES[1]
-    with pytest.raises(IndexError):
-        vault.pick(2)
-    vault.pick(0)
-    vault.pick(0)
+    assert reloaded.pick().value == CODES[2]
     with pytest.raises(VaultEmpty):
-        vault.pick()
+        reloaded.pick()
 
 
 def test_reseal_nonces_never_repeat_across_reloads():
@@ -99,49 +91,30 @@ def test_reseal_nonces_never_repeat_across_reloads():
     # or a save/load cycle would reuse a (key, nonce) pair.
     vault = fresh_vault()
     nonces = {vault._sealed.nonce}
-    vault.pick_next()
+    vault.pick()
     nonces.add(vault._sealed.nonce)
     reloaded = TicVault.from_bytes(vault.to_bytes())
     reloaded.unlock(PASSWORD)
-    reloaded.pick_next()
+    reloaded.pick()
     nonces.add(reloaded._sealed.nonce)
-    reloaded.change_password(PASSWORD, "new-password")
-    nonces.add(reloaded._sealed.nonce)
+    again = TicVault.from_bytes(reloaded.to_bytes())
+    again.unlock(PASSWORD)
+    again.pick()
+    nonces.add(again._sealed.nonce)
     assert len(nonces) == 4
 
 
-def test_provision_unlock_pick_change_password():
+def test_provision_unlock_pick():
     batch = TicRegistry().generate_tics("ACC-1001", 3, seed=b"ops")
-    vault = TicVault.provision(batch.codes, "first-pass", salt=SALT,
-                               alphabet=batch.codes[0].alphabet)
+    vault = TicVault.provision(batch.codes, "first-pass", salt=SALT)
     code = vault.pick()
     assert code.value == batch.codes[0].value
     assert vault.remaining() == 2
-    vault.change_password("first-pass", "second-pass")
     vault.lock()
     with pytest.raises(IntegrityFailure):
-        vault.unlock("first-pass")
-    vault.unlock("second-pass")
+        vault.unlock("second-pass")
+    vault.unlock("first-pass")
     assert vault.pick().value == batch.codes[1].value
-
-
-def test_change_password_rekeys_and_keeps_contents():
-    vault = fresh_vault()
-    vault.change_password(PASSWORD, "rotated")
-    data = vault.to_bytes()
-    stale = TicVault.from_bytes(data)
-    with pytest.raises(IntegrityFailure):
-        stale.unlock(PASSWORD)
-    fresh = TicVault.from_bytes(data)
-    fresh.unlock("rotated")
-    assert [c.value for c in fresh.codes()] == CODES
-    assert open_sealed_blob(fresh, "rotated") == CODES
-
-
-def test_change_password_requires_the_old_one():
-    vault = fresh_vault()
-    with pytest.raises(IntegrityFailure):
-        vault.change_password("wrong", "rotated")
 
 
 def test_empty_vault_is_legal():
@@ -172,5 +145,41 @@ def test_from_bytes_is_strict():
         TicVault.from_bytes(data + b"\x00")
 
 
+def header_fields(data: bytes) -> tuple:
+    """Independent read of the clear header: (iterations, alphabet, cipher) and
+    the offset of each field."""
+    reader = Reader(data)
+    reader.take(2 + 1 + 8 + SALT_LEN)  # magic, version, seal count, salt
+    at_iterations = reader.pos
+    iterations = reader.u32()
+    at_alphabet = reader.pos
+    alphabet = reader.str16()
+    at_cipher = reader.pos
+    cipher = reader.str16()
+    return (iterations, alphabet, cipher), (at_iterations, at_alphabet, at_cipher)
+
+
 def test_iterations_match_declared_work_factor():
-    assert fresh_vault().iterations == KDF_ITERATIONS
+    fields, _ = header_fields(fresh_vault().to_bytes())
+    assert fields == (KDF_ITERATIONS, "alphanumeric-upper", "aes-gcm")
+
+
+def test_from_bytes_rejects_another_work_factor_alphabet_cipher_or_key_role():
+    # The clear header is not authenticated: one flipped bit in any of these
+    # fields must fail parsing, not reach PBKDF2 or the cipher table.
+    data = fresh_vault().to_bytes()
+    _, (at_iterations, at_alphabet, at_cipher) = header_fields(data)
+
+    def flip(offset: int, mask: int) -> bytes:
+        return data[:offset] + bytes([data[offset] ^ mask]) + data[offset + 1:]
+
+    with pytest.raises(WireError, match="work factor"):
+        TicVault.from_bytes(flip(at_iterations, 0x40))  # 2**30 + 2048 rounds
+    with pytest.raises(WireError, match="alphabet"):
+        TicVault.from_bytes(flip(at_alphabet + 2, 0x01))
+    with pytest.raises(WireError, match="cipher"):
+        TicVault.from_bytes(flip(at_cipher + 2, 0x01))
+    # the sealed blob's key-role byte follows the cipher name and a length
+    at_role = at_cipher + 2 + len("aes-gcm") + 4
+    with pytest.raises(WireError, match="vault-keyed"):
+        TicVault.from_bytes(flip(at_role, 0x01))
