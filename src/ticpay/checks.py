@@ -10,8 +10,9 @@ finds plenty — the negative control that proves the scan can see.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .netsim import ProtocolTrace, WireRecord
 from .wire import Envelope, F, WireError
@@ -89,19 +90,47 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     cannot contain them except by 2^-something accident, so any hit on a
     real cipher is a protocol bug. A secret shorter than MIN_SECRET_LEN
     bytes raises ValueError.
+
+    Cost: the records' bytes are joined once, then each distinct secret
+    value takes one C-level ``bytes.find`` walk over the joined buffer,
+    so the Python work grows with distinct secrets plus hits, not with
+    records x secrets. Overlapping hits are all found; a match that runs
+    from one record into the next is not a hit.
+
+    Findings come in record order, then in the insertion order of
+    ``secrets``, then by offset within the record. Two secret ids that
+    hold the same value each get their own finding.
     """
     for secret_id, value in secrets.items():
         if len(value) < MIN_SECRET_LEN:
             raise ValueError(f"secret {secret_id!r} is {len(value)} bytes; "
                              f"the scan needs at least {MIN_SECRET_LEN}")
-    findings: List[LeakFinding] = []
+    starts: List[int] = []
+    size = 0
     for record in wire_log:
-        for secret_id, value in secrets.items():
-            start = record.data.find(value)
-            while start != -1:
-                findings.append(LeakFinding(record.seq, secret_id, start))
-                start = record.data.find(value, start + 1)
-    return findings
+        starts.append(size)
+        size += len(record.data)
+    wire = b"".join(record.data for record in wire_log)
+
+    ranks_by_value: Dict[bytes, List[int]] = {}
+    for rank, value in enumerate(secrets.values()):
+        ranks_by_value.setdefault(value, []).append(rank)
+
+    hits: List[Tuple[int, int, int]] = []  # (record index, secret rank, offset)
+    for value, ranks in ranks_by_value.items():
+        at = wire.find(value)
+        while at != -1:
+            # Empty records share their start with the next record, so
+            # the rightmost start <= at is the record holding byte `at`.
+            index = bisect_right(starts, at) - 1
+            offset = at - starts[index]
+            if offset + len(value) <= len(wire_log[index].data):
+                hits.extend((index, rank, offset) for rank in ranks)
+            at = wire.find(value, at + 1)
+    hits.sort()
+    secret_ids = list(secrets)
+    return [LeakFinding(wire_log[index].seq, secret_ids[rank], offset)
+            for index, rank, offset in hits]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from ..checks import (
     total_funds,
 )
 from ..client_agent import ClientAgent
-from ..crypto import Pin
+from ..crypto import _CIPHERS, Pin
 from ..errors import ScenarioError, StepBudgetExceeded
 from ..netsim import (
     AdversaryScript,
@@ -333,9 +333,16 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
 
     checks = _get(raw, "checks", source, list, required=False,
                   default=list(KNOWN_CHECKS))
+    if not checks:
+        # An empty list would run nothing and report PASS.
+        raise ScenarioError(f"{source}.checks: name at least one check")
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ScenarioError(f"{source}.checks: unknown check {c!r}")
+    cipher = _get(raw, "cipher", source, str, required=False, default="aes-gcm")
+    if cipher not in _CIPHERS:
+        raise ScenarioError(f"{source}.cipher: expected one of {sorted(_CIPHERS)}, "
+                            f"got {cipher!r}")
 
     bank_raw = _get(raw, "bank", source, dict, required=False, default={})
     return ScenarioSpec(
@@ -348,12 +355,11 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
         merchant=merchant,
         bank_name=_get(bank_raw, "name", f"{source}.bank", str,
                        required=False, default="cbank"),
-        cipher=_get(raw, "cipher", source, str, required=False,
-                    default="aes-gcm"),
-        sms_deadline=_get(raw, "sms_deadline", source, int, required=False,
-                          default=300),
-        step_budget=_get(raw, "step_budget", source, int, required=False,
-                         default=10_000),
+        cipher=cipher,
+        sms_deadline=_at_least(_get(raw, "sms_deadline", source, int, required=False,
+                                    default=300), 1, f"{source}.sms_deadline"),
+        step_budget=_at_least(_get(raw, "step_budget", source, int, required=False,
+                                   default=10_000), 1, f"{source}.step_budget"),
         adversary=adversary,
         expect=expect,
         checks=tuple(checks),

@@ -1,0 +1,132 @@
+"""The leakage scan against its reference: the nested loop over every
+record and secret that the joined-buffer scan replaced.
+
+The reference is slow, O(records x secrets) Python calls, but its
+meaning is plain, so the fast scan must return the same findings in the
+same order on random logs, on every bundled scenario under both ciphers,
+and on a multi-client world.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import Dict, List, Sequence
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ticpay.checks import MIN_SECRET_LEN, LeakFinding, leakage_scan
+from ticpay.netsim import WireRecord
+from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec, parse_spec
+from ticpay.wire import Channel
+
+
+def reference_leakage_scan(wire_log: Sequence[WireRecord],
+                           secrets: Dict[str, bytes]) -> List[LeakFinding]:
+    for secret_id, value in secrets.items():
+        if len(value) < MIN_SECRET_LEN:
+            raise ValueError(f"secret {secret_id!r} is {len(value)} bytes; "
+                             f"the scan needs at least {MIN_SECRET_LEN}")
+    findings: List[LeakFinding] = []
+    for record in wire_log:
+        for secret_id, value in secrets.items():
+            start = record.data.find(value)
+            while start != -1:
+                findings.append(LeakFinding(record.seq, secret_id, start))
+                start = record.data.find(value, start + 1)
+    return findings
+
+
+def log_of(*payloads: bytes) -> List[WireRecord]:
+    return [WireRecord(seq=10 + i, at=i, channel=Channel.WEB, sender="a",
+                       receiver="b", msg_type="m", data=data)
+            for i, data in enumerate(payloads)]
+
+
+def test_overlaps_straddles_empty_records_and_shared_values():
+    log = log_of(b"xaaaaaaaaaa", b"", b"aaaaSECRET-1", b"234", b"SECRET-1")
+    secrets = {"second": b"SECRET-1", "run": b"aaaaaaaa", "twin": b"SECRET-1"}
+    expected = [
+        # three overlapping runs of eight a's inside the first record
+        LeakFinding(10, "run", 1), LeakFinding(10, "run", 2), LeakFinding(10, "run", 3),
+        # the run that starts in record 10 and ends in 12 is no hit; the
+        # empty record 11 shares its start with record 12
+        LeakFinding(12, "second", 4), LeakFinding(12, "twin", 4),
+        # "SECRET-1234" straddles 12 and 13: only the part inside 12 counts
+        LeakFinding(14, "second", 0), LeakFinding(14, "twin", 0),
+    ]
+    assert leakage_scan(log, secrets) == expected
+    assert reference_leakage_scan(log, secrets) == expected
+
+
+# Two letters and periodic payloads such as "abababab" make overlapping
+# hits and hits across record boundaries common; secrets are mostly cut
+# from the joined bytes so they do match.
+letters = st.text(alphabet="ab", max_size=24)
+periodic = st.builds(lambda unit, times: unit * times,
+                     st.text(alphabet="ab", min_size=1, max_size=3), st.integers(1, 12))
+payloads = st.lists(st.one_of(letters, periodic).map(str.encode), max_size=8)
+
+
+@given(payloads, st.data())
+def test_scan_matches_the_reference_on_random_logs(payloads, data):
+    log = log_of(*payloads)
+    joined = b"".join(payloads)
+    values = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        length = data.draw(st.integers(MIN_SECRET_LEN, MIN_SECRET_LEN + 3))
+        if len(joined) >= length and data.draw(st.booleans()):
+            start = data.draw(st.integers(0, len(joined) - length))
+            values.append(joined[start:start + length])
+        else:
+            values.append(data.draw(st.text(alphabet="ab", min_size=length,
+                                             max_size=length)).encode())
+    secrets = {f"s{i}": value for i, value in enumerate(values)}
+    secrets["twin"] = values[0]
+    assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets)
+
+
+def ran(spec):
+    world = build_world(spec)
+    world.sim.run_to_quiescence()
+    return world
+
+
+@pytest.mark.parametrize("cipher", ["aes-gcm", "null"])
+@pytest.mark.parametrize("name", [entry["name"] for entry in list_bundled()])
+def test_scan_matches_the_reference_on_bundled_scenarios(name, cipher):
+    world = ran(replace(load_spec(find_bundled(name)), cipher=cipher))
+    log, secrets = world.sim.wire_log, world.secrets()
+    assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets)
+
+
+def crowd_spec(clients: int, cipher: str):
+    return parse_spec({
+        "schema": 1,
+        "name": "crowd",
+        "flow": "one-way",
+        "seed": 7,
+        "cipher": cipher,
+        "clients": [{
+            "username": f"u{i:03d}",
+            "password": f"pw-{i}",
+            "pin": f"{0x00112233445566aa + i:016x}",
+            "cell": f"+1555{i:07d}",
+            "account_id": f"ACC-{100_000 + i}",
+            "balance": 10_000,
+            "vault_password": f"vault-{i}",
+            "tic_batch": 1 + i % 3,
+            "reply": ("yes", "no", "ignore")[i % 3],
+            "payments": [{"amount": 10 + i, "payee": f"ACC-{900_000 + i}"}],
+        } for i in range(clients)],
+    })
+
+
+@pytest.mark.parametrize("cipher", ["aes-gcm", "null"])
+def test_scan_matches_the_reference_on_a_25_client_world(cipher):
+    world = ran(crowd_spec(25, cipher))
+    log, secrets = world.sim.wire_log, world.secrets()
+    findings = leakage_scan(log, secrets)
+    assert findings == reference_leakage_scan(log, secrets)
+    assert bool(findings) == (cipher == "null")

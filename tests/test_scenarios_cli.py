@@ -76,6 +76,12 @@ def test_errors_name_the_offending_field():
     expect_error(minimal_raw(schema=2), "scenario.schema: unsupported version 2")
     expect_error(minimal_raw(flow="p2p"), "scenario.flow: expected one-way or two-way")
     expect_error(minimal_raw(checks=["magic"]), "unknown check 'magic'")
+    expect_error(minimal_raw(checks=[]), "scenario.checks: name at least one check")
+    expect_error(minimal_raw(cipher="rot13"), "scenario.cipher: expected one of "
+                 "['aes-gcm', 'null'], got 'rot13'")
+    expect_error(minimal_raw(step_budget=0), "scenario.step_budget: must be >= 1, got 0")
+    expect_error(minimal_raw(step_budget=-5), "scenario.step_budget: must be >= 1, got -5")
+    expect_error(minimal_raw(sms_deadline=-1), "scenario.sms_deadline: must be >= 1, got -1")
     expect_error(minimal_raw(merchant={}), "scenario.merchant: only valid in a two-way")
 
     bad_pin = minimal_raw()
