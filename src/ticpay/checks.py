@@ -91,11 +91,15 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     real cipher is a protocol bug. A secret shorter than MIN_SECRET_LEN
     bytes raises ValueError.
 
-    Cost: the records' bytes are joined once, then each distinct secret
-    value takes one C-level ``bytes.find`` walk over the joined buffer,
-    so the Python work grows with distinct secrets plus hits, not with
-    records x secrets. Overlapping hits are all found; a match that runs
-    from one record into the next is not a hit.
+    Cost: the records' bytes are joined once. Every occurrence of a
+    secret starts an 8-byte word at one of the buffer's eight alignments,
+    so eight C-level set intersections of those words with the secrets'
+    first 8 bytes name the heads that occur. Only a distinct value whose
+    head occurs takes a C-level ``bytes.find`` walk over the buffer, so
+    the Python work grows with distinct secrets plus hits, not with
+    records x secrets, and a clean ciphertext log costs about eight
+    passes over its bytes. Overlapping hits are all found; a match that
+    runs from one record into the next is not a hit.
 
     Findings come in record order, then in the insertion order of
     ``secrets``, then by offset within the record. Two secret ids that
@@ -116,8 +120,24 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     for rank, value in enumerate(secrets.values()):
         ranks_by_value.setdefault(value, []).append(rank)
 
+    # Prefilter: a secret's head is its first 8 bytes read as one "Q"
+    # word (MIN_SECRET_LEN is 8, so every secret has one). A value whose
+    # head starts no word at any alignment of the buffer cannot occur.
+    heads = {value: memoryview(value[:MIN_SECRET_LEN]).cast("Q")[0]
+             for value in ranks_by_value}
+    wanted = set(heads.values())
+    present = set()
+    view = memoryview(wire)
+    for align in range(MIN_SECRET_LEN):
+        words = (len(wire) - align) // MIN_SECRET_LEN
+        if words > 0:
+            present |= wanted.intersection(
+                view[align:align + words * MIN_SECRET_LEN].cast("Q"))
+
     hits: List[Tuple[int, int, int]] = []  # (record index, secret rank, offset)
     for value, ranks in ranks_by_value.items():
+        if heads[value] not in present:
+            continue
         at = wire.find(value)
         while at != -1:
             # Empty records share their start with the next record, so

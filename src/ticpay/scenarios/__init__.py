@@ -330,6 +330,10 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
             absent_notes=_strings(exp_raw, "absent_notes", f"{source}.expect"),
             absent_msg_types=_strings(exp_raw, "absent_msg_types", f"{source}.expect"),
         )
+        if expect.outcomes and len(clients) > 1:
+            # The outcomes list is one client's; the others would go unchecked.
+            raise ScenarioError(f"{source}.expect.outcomes: only valid with one client, "
+                                f"got {len(clients)}")
 
     checks = _get(raw, "checks", source, list, required=False,
                   default=list(KNOWN_CHECKS))
@@ -421,7 +425,12 @@ class World:
         extra = [p.payee_account for c in self.spec.clients for p in c.payments]
         if self.merchant_bank is not None:
             extra.extend(self.merchant_bank.balances)
-        return collect_secrets(self.server, self.clients, extra_accounts=extra)
+        secrets = collect_secrets(self.server, self.clients, extra_accounts=extra)
+        if self.merchant_bank is not None:
+            for merchant_id, record in self.merchant_bank.merchants.items():
+                secrets[f"merchant-secret:{merchant_id}"] = record.secret
+            secrets[f"cert-key:{self.merchant_bank.name}"] = self.merchant_bank._cert_key
+        return secrets
 
 
 def build_world(spec: ScenarioSpec) -> World:

@@ -46,7 +46,10 @@ def log_of(*payloads: bytes) -> List[WireRecord]:
 
 def test_overlaps_straddles_empty_records_and_shared_values():
     log = log_of(b"xaaaaaaaaaa", b"", b"aaaaSECRET-1", b"234", b"SECRET-1")
-    secrets = {"second": b"SECRET-1", "run": b"aaaaaaaa", "twin": b"SECRET-1"}
+    # "near" shares its first 8 bytes with record 12 but not its tail: its
+    # head passes the prefilter and its find walk finds nothing.
+    secrets = {"second": b"SECRET-1", "run": b"aaaaaaaa", "twin": b"SECRET-1",
+               "near": b"aaaaSECRET-9"}
     expected = [
         # three overlapping runs of eight a's inside the first record
         LeakFinding(10, "run", 1), LeakFinding(10, "run", 2), LeakFinding(10, "run", 3),
@@ -58,6 +61,24 @@ def test_overlaps_straddles_empty_records_and_shared_values():
     ]
     assert leakage_scan(log, secrets) == expected
     assert reference_leakage_scan(log, secrets) == expected
+
+
+@pytest.mark.parametrize("value", [b"EIGHT-B!", b"TAIL-SECRET"])
+@pytest.mark.parametrize("align", range(8))
+def test_a_secret_ending_at_the_last_byte_is_found_at_every_alignment(align, value):
+    # The secret's head starts the buffer's last whole word at alignment
+    # `align`; a prefilter that stopped one word short would miss it.
+    log = log_of(b"p" * align, value)
+    secrets = {"tail": value}
+    assert leakage_scan(log, secrets) == [LeakFinding(11, "tail", 0)]
+    assert reference_leakage_scan(log, secrets) == [LeakFinding(11, "tail", 0)]
+
+
+@pytest.mark.parametrize("payloads", [(), (b"",), (b"abc", b"de"), (b"abcdefg",)])
+def test_logs_shorter_than_a_word_have_no_findings(payloads):
+    log = log_of(*payloads)
+    secrets = {"s": b"abcdeabc", "t": b"abcdefgh"}
+    assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets) == []
 
 
 # Two letters and periodic payloads such as "abababab" make overlapping
@@ -99,6 +120,15 @@ def test_scan_matches_the_reference_on_bundled_scenarios(name, cipher):
     world = ran(replace(load_spec(find_bundled(name)), cipher=cipher))
     log, secrets = world.sim.wire_log, world.secrets()
     assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets)
+
+
+def test_two_way_worlds_scan_the_merchant_keys():
+    # The registration secret and the certificate-signing key never leave
+    # the merchant bank and its merchant, so the scan must look for both.
+    world = ran(load_spec(find_bundled("happy-twoway")))
+    secrets, bank = world.secrets(), world.merchant_bank
+    assert secrets["merchant-secret:shopzone"] == bank.merchants["shopzone"].secret
+    assert secrets["cert-key:mbank"] == bank._cert_key
 
 
 def crowd_spec(clients: int, cipher: str):

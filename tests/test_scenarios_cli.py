@@ -113,6 +113,13 @@ def test_errors_name_the_offending_field():
     expect_error(minimal_raw(expect={"outcomes": ["committed", None]}),
                  "scenario.expect.outcomes[1]: expected str")
 
+    # One outcomes list would be held against client 0 only, so a second
+    # client's denied payment would still report PASS.
+    two_clients = minimal_raw(expect={"outcomes": ["committed"]})
+    two_clients["clients"].append(dict(two_clients["clients"][0], username="bob",
+                                       account_id="ACC-1002", balance=0))
+    expect_error(two_clients, "scenario.expect.outcomes: only valid with one client, got 2")
+
     # The leakage scan treats every account id as a secret; a short one
     # matches random ciphertext bytes.
     short_account = minimal_raw()

@@ -6,10 +6,12 @@ import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ticpay.errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from ticpay.tic_registry import TicRegistry
-from ticpay.vault import KDF_ITERATIONS, SALT_LEN, TicVault
+from ticpay.vault import KDF_ITERATIONS, SALT_LEN, TicVault, _vault_key
 from ticpay.wire import Reader
 
 SALT = bytes(range(SALT_LEN))
@@ -21,15 +23,27 @@ def fresh_vault(codes=None, password: str = PASSWORD) -> TicVault:
     return TicVault.provision(list(codes if codes is not None else CODES), password, salt=SALT)
 
 
+def reference_key(password: str, salt: bytes) -> bytes:
+    """The vault key from hashlib's PBKDF2, independent of the vault's KDF."""
+    return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, KDF_ITERATIONS, 32)
+
+
 def open_sealed_blob(vault: TicVault, password: str) -> list:
     """Independent read of the sealed payload: PBKDF2 + raw AESGCM + layout."""
-    key = hashlib.pbkdf2_hmac("sha256", password.encode(), vault.salt, KDF_ITERATIONS, 32)
+    key = reference_key(password, vault.salt)
     sealed = vault._sealed
     plain = AESGCM(key).decrypt(sealed.nonce, sealed.body + sealed.tag, b"blob|vault")
     reader = Reader(plain)
     values = [reader.str16() for _ in range(reader.u16())]
     reader.expect_end()
     return values
+
+
+@given(st.text(), st.binary(min_size=SALT_LEN, max_size=SALT_LEN))
+@example("", SALT)
+@example("pässwörd-ключ-🔑", SALT)
+def test_vault_key_matches_the_hashlib_reference(password, salt):
+    assert _vault_key(password, salt) == reference_key(password, salt)
 
 
 def test_provision_and_unlock_round_trip():
