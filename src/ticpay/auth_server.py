@@ -184,6 +184,9 @@ class BankServer:
         self.accounts_by_id: Dict[str, AccountRecord] = {}
         self.balances: Dict[str, int] = {}                    # account_id -> minor units
         self.clearing = 0  # value owed to/from other banks; keeps totals constant
+        # Bumped by every method that writes balances or clearing, so a
+        # watcher re-sums the books only after they may have changed.
+        self.ledger_version = 0
         self.sessions: Dict[str, Session] = {}                # by cookie
         self.txns: Dict[str, PendingTransaction] = {}
         self.failed_logins: Dict[str, int] = {}
@@ -218,6 +221,7 @@ class BankServer:
         self.accounts[username] = record
         self.accounts_by_id[account_id] = record
         self.balances[account_id] = balance
+        self.ledger_version += 1
         return record
 
     def total_funds(self) -> int:
@@ -392,6 +396,7 @@ class BankServer:
             self.balances[payee] += amount
         else:
             self.clearing += amount
+        self.ledger_version += 1
         txn.state = TxnState.COMMITTED
         self._close_session_of(txn)
         return ReplyResult(ok=True, committed=True, txn=txn)

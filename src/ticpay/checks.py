@@ -11,6 +11,7 @@ finds plenty — the negative control that proves the scan can see.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -200,31 +201,47 @@ def merchant_blindness_check(
 
     Two layers: the message type and its field set must be in the allowed
     schema, and the raw bytes must not contain any customer account id.
+    The byte layer is one ``leakage_scan`` over the merchant-bound records
+    that pass the type and parse tests, so an account id shorter than
+    MIN_SECRET_LEN bytes raises ValueError.
+
+    Findings come in record order; within a record, the schema finding
+    first, then one finding per account id it holds, in input order.
+    Wire-log records carry distinct ``seq`` values, one per transmission.
     """
     merchants = set(merchant_names)
-    account_bytes = [a.encode("utf-8") for a in customer_account_ids]
-    findings: List[BlindnessFinding] = []
+    accounts = {f"customer_account_ids[{i}]": account.encode("utf-8")
+                for i, account in enumerate(customer_account_ids)}
+    bound: List[Tuple[int, Optional[BlindnessFinding]]] = []  # (seq, schema finding)
+    scanned: List[WireRecord] = []  # records whose bytes the account scan reads
     for record in wire_log:
         if record.receiver not in merchants:
             continue
         allowed = MERCHANT_SCHEMAS.get(record.msg_type)
         if allowed is None:
-            findings.append(BlindnessFinding(
-                record.seq, f"unexpected msg_type {record.msg_type!r} to merchant"))
+            bound.append((record.seq, BlindnessFinding(
+                record.seq, f"unexpected msg_type {record.msg_type!r} to merchant")))
             continue
         try:
             env = Envelope.from_bytes(record.data)
         except WireError:
-            findings.append(BlindnessFinding(record.seq, "unparseable envelope"))
+            bound.append((record.seq, BlindnessFinding(record.seq, "unparseable envelope")))
             continue
         extra = set(env.body) - set(allowed)
-        if extra:
-            findings.append(BlindnessFinding(
-                record.seq, f"fields {sorted(extra)} outside merchant schema"))
-        for acct in account_bytes:
-            if acct and acct in record.data:
-                findings.append(BlindnessFinding(
-                    record.seq, "customer account id present in merchant-bound bytes"))
+        bound.append((record.seq, BlindnessFinding(
+            record.seq, f"fields {sorted(extra)} outside merchant schema") if extra else None))
+        scanned.append(record)
+
+    # One finding per (record, account id), however often the id occurs.
+    leaked = Counter(seq for seq, _ in {(leak.seq, leak.secret_id)
+                                         for leak in leakage_scan(scanned, accounts)})
+    findings: List[BlindnessFinding] = []
+    for seq, schema in bound:
+        if schema is not None:
+            findings.append(schema)
+        findings.extend(
+            BlindnessFinding(seq, "customer account id present in merchant-bound bytes")
+            for _ in range(leaked[seq]))
     return findings
 
 

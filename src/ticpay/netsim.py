@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ScenarioError, StepBudgetExceeded, WireError
 from .wire import Channel, Envelope, Header, peek_header
@@ -40,8 +40,7 @@ def digest16(data: bytes) -> str:
 # -- trace ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     at: int
     kind: str  # send | deliver | drop | tamper | replay | inject | reject-parse | timer | note
@@ -54,7 +53,24 @@ class TraceEvent:
     note: Optional[str] = None
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        return {k: v for k, v in zip(self._fields, self) if v is not None}
+
+
+# (field index, '"name": ') for every TraceEvent field, in key order
+_KEYS = [(i, f"{encode_basestring_ascii(name)}: ")
+         for i, name in sorted(enumerate(TraceEvent._fields), key=lambda p: p[1])]
+
+
+def _json_line(event: TraceEvent) -> str:
+    """``json.dumps(event.as_dict(), sort_keys=True) + "\n"``, without
+    building an encoder per event. Strings are quoted as ``json`` quotes
+    them; ints print through ``int.__repr__``, as ``json`` prints them, so
+    an IntEnum never prints as its name."""
+    return "{" + ", ".join([
+        key + (encode_basestring_ascii(value) if isinstance(value, str)
+               else int.__repr__(value))
+        for i, key in _KEYS if (value := event[i]) is not None
+    ]) + "}\n"
 
 
 class ProtocolTrace:
@@ -67,7 +83,7 @@ class ProtocolTrace:
         self.events.append(event)
 
     def export_jsonl(self) -> str:
-        return "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in self.events)
+        return "".join(map(_json_line, self.events))
 
     def digest(self) -> str:
         return hashlib.sha256(self.export_jsonl().encode("utf-8")).hexdigest()

@@ -429,6 +429,7 @@ class World:
         if self.merchant_bank is not None:
             for merchant_id, record in self.merchant_bank.merchants.items():
                 secrets[f"merchant-secret:{merchant_id}"] = record.secret
+                secrets[f"minfo-key:{merchant_id}"] = record.info_key()
             secrets[f"cert-key:{self.merchant_bank.name}"] = self.merchant_bank._cert_key
         return secrets
 
@@ -598,18 +599,41 @@ def _eval_checks(world: World, conservation_violations: List[str]) -> List[Check
     return results
 
 
-def run_spec(spec: ScenarioSpec) -> RunReport:
-    world = build_world(spec)
+def watch_conservation(sim: Simulation, banks: List) -> List[str]:
+    """Check the banks' total funds after every event of ``sim``.
+
+    Installs the check as ``sim.after_event`` and returns the list it
+    fills: one entry per event after which the total differs from the
+    total before the run, naming the ``seq`` of that event. The books are
+    summed again only after an event whose handling bumped some bank's
+    ``ledger_version``; every write to balances or clearing bumps it.
+    """
     violations: List[str] = []
-    baseline = total_funds(world.banks())
+    baseline = current = total_funds(banks)
+    version = sum(bank.ledger_version for bank in banks)
+    events = sim.trace.events
+    first = len(events)  # where the next event's trace records start
 
     def watch(sim: Simulation) -> None:
-        current = total_funds(world.banks())
+        nonlocal current, version, first
+        now = sum(bank.ledger_version for bank in banks)
+        if now != version:
+            version = now
+            current = total_funds(banks)
         if current != baseline:
-            seq = sim.trace.events[-1].seq if sim.trace.events else 0
-            violations.append(f"seq={seq} total {current} != {baseline}")
+            # Every processed event records at least one trace line, and
+            # the first is the event itself: the deliver, send or timer
+            # whose handling moved the money.
+            violations.append(f"seq={events[first].seq} total {current} != {baseline}")
+        first = len(events)
 
-    world.sim.after_event = watch
+    sim.after_event = watch
+    return violations
+
+
+def run_spec(spec: ScenarioSpec) -> RunReport:
+    world = build_world(spec)
+    violations = watch_conservation(world.sim, world.banks())
     results: List[CheckResult] = []
     try:
         world.sim.run_to_quiescence()

@@ -106,6 +106,10 @@ class MerchantRecord:
     standing: str = "good"  # good | suspended
     certificate: Optional[MerchantCertificate] = None
 
+    def info_key(self) -> bytes:
+        """Key that seals the merchant's banking details for its bank."""
+        return derive_shared_key(self.secret, f"merchant-info|{self.merchant_id}")
+
 
 class MerchantBank(Actor):
     """Issues merchant certificates, verifies them, and books settlements."""
@@ -119,6 +123,7 @@ class MerchantBank(Actor):
         self.merchants: Dict[str, MerchantRecord] = {}
         self.balances: Dict[str, int] = {}
         self.clearing = 0
+        self.ledger_version = 0  # bumped with every write to balances or clearing
         self.processed_notices: set = set()
 
     def total_funds(self) -> int:
@@ -145,6 +150,7 @@ class MerchantBank(Actor):
         )
         self.merchants[merchant_id] = record
         self.balances[account_id] = balance
+        self.ledger_version += 1
         record.certificate = self.issue_certificate(merchant_id, valid_from, valid_until)
         return record
 
@@ -188,9 +194,8 @@ class MerchantBank(Actor):
             return Verdict(False, "suspended")
         try:
             ct = Ciphertext.from_bytes(enc_info)
-            key = derive_shared_key(record.secret, f"merchant-info|{cert.merchant_id}")
             account_id = self.suite.open_blob(
-                ct, KeyRole.BANK_NET_KEYED, key, f"minfo|{cert.merchant_id}"
+                ct, KeyRole.BANK_NET_KEYED, record.info_key(), f"minfo|{cert.merchant_id}"
             ).decode("utf-8")
         except (WireError, IntegrityFailure, UnicodeDecodeError):
             return Verdict(False, "banking-info-mismatch")
@@ -243,6 +248,7 @@ class MerchantBank(Actor):
         # Exactly one credit per notice id, however many copies arrive.
         self.clearing -= amount
         self.balances[record.account_id] += amount
+        self.ledger_version += 1
         ctx.note(f"merchant-credited merchant={merchant_id} amount={amount} "
                  f"notice={notice_id}")
         ctx.send(Envelope(
@@ -280,9 +286,8 @@ class MerchantAgent(Actor):
             raise ValueError("cart total must be positive")
         self._invoice_counter += 1
         invoice_number = f"{self.name}-INV{self._invoice_counter:04d}"
-        key = derive_shared_key(self.record.secret, f"merchant-info|{self.name}")
         enc_info = self.suite.seal_blob(
-            KeyRole.BANK_NET_KEYED, key,
+            KeyRole.BANK_NET_KEYED, self.record.info_key(),
             self.record.account_id.encode("utf-8"), f"minfo|{self.name}",
         )
         return {

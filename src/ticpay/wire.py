@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .errors import WireError
 
@@ -44,6 +44,12 @@ class KeyRole(IntEnum):
     PIN_WRAPPED = 3
     VAULT_KEYED = 4
     BANK_NET_KEYED = 5
+
+
+# Wire byte -> member, for the parsers: a dict lookup is far cheaper than
+# calling the enum, and a miss is a WireError rather than a ValueError.
+_CHANNELS = {int(channel): channel for channel in Channel}
+_KEY_ROLES = {int(role): role for role in KeyRole}
 
 
 class F(IntEnum):
@@ -77,36 +83,51 @@ class F(IntEnum):
     CELL = 0x001A
 
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_FIELD_HEAD = struct.Struct(">HI")  # a body field's u16 tag and u32 length
+
+
 class Reader:
-    """Bounds-checked cursor over immutable bytes."""
+    """Bounds-checked cursor over immutable bytes.
+
+    Integers unpack in place at the cursor, with no intermediate slice.
+    """
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
+    def _claim(self, n: int) -> int:
+        """Advance past n bytes that must exist; returns where they start."""
+        pos = self.pos
+        if n < 0 or pos + n > len(self.data):
+            raise WireError(f"truncated input: wanted {n} bytes at offset {pos}")
+        self.pos = pos + n
+        return pos
+
     def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
-            raise WireError(f"truncated input: wanted {n} bytes at offset {self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        pos = self._claim(n)
+        return self.data[pos : pos + n]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self._claim(1)]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return _U16.unpack_from(self.data, self._claim(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return _U32.unpack_from(self.data, self._claim(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return _U64.unpack_from(self.data, self._claim(8))[0]
 
     def str16(self) -> str:
-        raw = self.take(self.u16())
+        n = self.u16()
+        pos = self._claim(n)
         try:
-            return raw.decode("utf-8")
+            return self.data[pos : pos + n].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError("invalid utf-8 in string field") from exc
 
@@ -116,15 +137,15 @@ class Reader:
 
 
 def u16(value: int) -> bytes:
-    return struct.pack(">H", value)
+    return _U16.pack(value)
 
 
 def u32(value: int) -> bytes:
-    return struct.pack(">I", value)
+    return _U32.pack(value)
 
 
 def u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+    return _U64.pack(value)
 
 
 def str16(value: str) -> bytes:
@@ -151,11 +172,17 @@ def decode_fields(data: bytes) -> Dict[int, bytes]:
     fields: Dict[int, bytes] = {}
     last_tag = -1
     while reader.pos < len(data):
-        tag = reader.u16()
+        if len(data) - reader.pos >= _FIELD_HEAD.size:
+            tag, size = _FIELD_HEAD.unpack_from(data, reader.pos)
+            reader.pos += _FIELD_HEAD.size
+        else:
+            # A truncated head: read the tag alone so that an out-of-order
+            # tag is still reported before the missing length.
+            tag, size = reader.u16(), None
         if tag <= last_tag:
             raise WireError(f"field tag {tag} out of canonical order")
         last_tag = tag
-        fields[tag] = reader.take(reader.u32())
+        fields[tag] = reader.take(reader.u32() if size is None else size)
     return fields
 
 
@@ -179,10 +206,9 @@ class Ciphertext:
     def from_bytes(cls, data: bytes) -> "Ciphertext":
         reader = Reader(data)
         role_byte = reader.u8()
-        try:
-            role = KeyRole(role_byte)
-        except ValueError as exc:
-            raise WireError(f"unknown key role {role_byte}") from exc
+        role = _KEY_ROLES.get(role_byte)
+        if role is None:
+            raise WireError(f"unknown key role {role_byte}")
         nonce = reader.take(NONCE_LEN)
         body = reader.take(reader.u32())
         tag = reader.take(TAG_LEN)
@@ -240,8 +266,7 @@ class Envelope:
         )
 
 
-@dataclass(frozen=True)
-class Header:
+class Header(NamedTuple):
     """Routing view of an envelope: header fields plus undecoded body bytes.
 
     The bus routes on this so a message with a corrupted body still reaches
@@ -266,10 +291,9 @@ def peek_header(data: bytes) -> Header:
     if version != VERSION:
         raise WireError(f"unsupported envelope version {version}")
     channel_byte = reader.u8()
-    try:
-        channel = Channel(channel_byte)
-    except ValueError as exc:
-        raise WireError(f"unknown channel {channel_byte}") from exc
+    channel = _CHANNELS.get(channel_byte)
+    if channel is None:
+        raise WireError(f"unknown channel {channel_byte}")
     sender = reader.str16()
     receiver = reader.str16()
     msg_type = reader.str16()
@@ -277,12 +301,4 @@ def peek_header(data: bytes) -> Header:
     request_id = reader.str16()
     raw_body = reader.take(reader.u32())
     reader.expect_end()
-    return Header(
-        sender=sender,
-        receiver=receiver,
-        channel=channel,
-        msg_type=msg_type,
-        cookie=cookie,
-        request_id=request_id,
-        raw_body=raw_body,
-    )
+    return Header(sender, receiver, channel, msg_type, cookie, request_id, raw_body)
