@@ -62,10 +62,10 @@ _KEYS = [(i, f"{encode_basestring_ascii(name)}: ")
 
 
 def _json_line(event: TraceEvent) -> str:
-    """``json.dumps(event.as_dict(), sort_keys=True) + "\n"``, without
-    building an encoder per event. Strings are quoted as ``json`` quotes
-    them; ints print through ``int.__repr__``, as ``json`` prints them, so
-    an IntEnum never prints as its name."""
+    """The line ``json.dumps(event.as_dict(), sort_keys=True)`` gives, plus
+    its newline, without building an encoder per event. Strings are quoted
+    as ``json`` quotes them; ints print through ``int.__repr__``, as
+    ``json`` prints them, so an IntEnum never prints as its name."""
     return "{" + ", ".join([
         key + (encode_basestring_ascii(value) if isinstance(value, str)
                else int.__repr__(value))

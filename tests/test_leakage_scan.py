@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ticpay.checks import MIN_SECRET_LEN, LeakFinding, leakage_scan
+from ticpay.crypto import derive_shared_key
 from ticpay.netsim import WireRecord
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec, parse_spec
 from ticpay.wire import Channel
@@ -123,12 +124,24 @@ def test_scan_matches_the_reference_on_bundled_scenarios(name, cipher):
 
 
 def test_two_way_worlds_scan_the_merchant_keys():
-    # The registration secret and the certificate-signing key never leave
-    # the merchant bank and its merchant, so the scan must look for both.
-    world = ran(load_spec(find_bundled("happy-twoway")))
-    secrets, bank = world.secrets(), world.merchant_bank
-    assert secrets["merchant-secret:shopzone"] == bank.merchants["shopzone"].secret
-    assert secrets["cert-key:mbank"] == bank._cert_key
+    # The registration secret, the key derived from it that seals the
+    # merchant's banking details, and the certificate-signing key never
+    # leave the merchant bank and its merchant, so the scan must look for
+    # all three. None of them crosses the wire, whatever the cipher.
+    merchant_keys = {"merchant-secret:shopzone", "minfo-key:shopzone", "cert-key:mbank"}
+    for cipher in ("aes-gcm", "null"):
+        world = ran(replace(load_spec(find_bundled("happy-twoway")), cipher=cipher))
+        secrets, bank = world.secrets(), world.merchant_bank
+        record = bank.merchants["shopzone"]
+        assert secrets["merchant-secret:shopzone"] == record.secret
+        assert secrets["minfo-key:shopzone"] == derive_shared_key(
+            record.secret, "merchant-info|shopzone")
+        assert secrets["cert-key:mbank"] == bank._cert_key
+        assert not [f for f in leakage_scan(world.sim.wire_log, secrets)
+                    if f.secret_id in merchant_keys]
+    # Once on the wire, the sealing key is found.
+    leaked = log_of(b"blob:" + secrets["minfo-key:shopzone"])
+    assert leakage_scan(leaked, secrets) == [LeakFinding(10, "minfo-key:shopzone", 5)]
 
 
 def crowd_spec(clients: int, cipher: str):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ticpay.errors import ScenarioError, StepBudgetExceeded, WireError
 from ticpay.netsim import (
@@ -10,10 +15,12 @@ from ticpay.netsim import (
     AdversaryScript,
     Drop,
     Observe,
+    ProtocolTrace,
     Replay,
     Rule,
     Simulation,
     Tamper,
+    TraceEvent,
     digest16,
 )
 from ticpay.wire import Channel, Envelope
@@ -327,3 +334,25 @@ def test_wire_record_cites_the_send_event():
     assert event.seq == record.seq
     assert event.kind == "send"
     assert event.msg_type == "a"
+
+
+# Any text, lone surrogates included: the default alphabet leaves them out.
+any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+any_int = st.one_of(st.sampled_from([0, -1, 2**63, -(2**70)]), st.integers(),
+                    st.sampled_from(list(Channel)))  # an IntEnum prints as its value
+
+
+@given(st.builds(
+    TraceEvent,
+    **{name: st.none() | (any_int if name in ("seq", "at") else any_text)
+       for name in TraceEvent._fields},
+))
+@example(TraceEvent(seq=1, at=0, kind="note", note='"\\\x00\x1f\x7f é \ud800 \U0001f600'))
+@example(TraceEvent(seq=None, at=None, kind=None))
+def test_trace_lines_are_byte_identical_to_json_dumps(event):
+    trace = ProtocolTrace()
+    trace.record(event)
+    trace.record(event)
+    line = json.dumps(event.as_dict(), sort_keys=True) + "\n"
+    assert trace.export_jsonl() == line * 2
+    assert trace.digest() == hashlib.sha256((line * 2).encode("utf-8")).hexdigest()

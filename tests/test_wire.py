@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ticpay.errors import WireError
@@ -189,3 +191,147 @@ def test_peek_header_matches_full_parse():
 )
 def test_field_codec_round_trips(fields):
     assert decode_fields(encode_fields(fields)) == fields
+
+
+# -- robustness: any input parses or raises WireError, with the same message ----
+#
+# The reference is the slice-based reader the in-place one replaced: every
+# read slices its bytes first, and decode_fields reads a field's tag and
+# length separately. The parsers must agree with it on every input, down
+# to the text of the WireError.
+
+
+class ReferenceReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if n < 0 or self.pos + n > len(self.data):
+            raise WireError(f"truncated input: wanted {n} bytes at offset {self.pos}")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack(">H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack(">I", self.take(4))[0]
+
+    def str16(self) -> str:
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise WireError("invalid utf-8 in string field") from exc
+
+    def expect_end(self) -> None:
+        if self.pos != len(self.data):
+            raise WireError(f"{len(self.data) - self.pos} trailing bytes")
+
+
+def reference_decode_fields(data: bytes):
+    reader = ReferenceReader(data)
+    fields = {}
+    last_tag = -1
+    while reader.pos < len(data):
+        tag = reader.u16()
+        if tag <= last_tag:
+            raise WireError(f"field tag {tag} out of canonical order")
+        last_tag = tag
+        fields[tag] = reader.take(reader.u32())
+    return fields
+
+
+def reference_peek_header(data: bytes):
+    reader = ReferenceReader(data)
+    if reader.take(2) != MAGIC:
+        raise WireError("bad envelope magic")
+    version = reader.u8()
+    if version != VERSION:
+        raise WireError(f"unsupported envelope version {version}")
+    channel_byte = reader.u8()
+    try:
+        channel = Channel(channel_byte)
+    except ValueError as exc:
+        raise WireError(f"unknown channel {channel_byte}") from exc
+    sender, receiver, msg_type, cookie, request_id = (reader.str16() for _ in range(5))
+    raw_body = reader.take(reader.u32())
+    reader.expect_end()
+    return (sender, receiver, channel, msg_type, cookie, request_id, raw_body)
+
+
+def reference_ciphertext(data: bytes):
+    reader = ReferenceReader(data)
+    role_byte = reader.u8()
+    try:
+        role = KeyRole(role_byte)
+    except ValueError as exc:
+        raise WireError(f"unknown key role {role_byte}") from exc
+    nonce = reader.take(12)
+    body = reader.take(reader.u32())
+    tag = reader.take(16)
+    reader.expect_end()
+    return (role, nonce, body, tag)
+
+
+def outcome(parse, data: bytes):
+    """What parse makes of data: its result, or its WireError's text.
+
+    Any other exception (struct.error, IndexError, ValueError) propagates
+    and fails the test.
+    """
+    try:
+        return parse(data)
+    except WireError as exc:
+        return f"WireError: {exc}"
+
+
+def check_parsers(data: bytes) -> None:
+    header = outcome(peek_header, data)
+    assert (header if isinstance(header, str) else tuple(header)) == \
+        outcome(reference_peek_header, data)
+    assert outcome(decode_fields, data) == outcome(reference_decode_fields, data)
+    ct = outcome(Ciphertext.from_bytes, data)
+    assert (ct if isinstance(ct, str) else (ct.role, ct.nonce, ct.body, ct.tag)) == \
+        outcome(reference_ciphertext, data)
+
+
+VALID_INPUTS = [
+    sample_envelope(request_id="rq9").to_bytes(),
+    encode_fields({1: b"a", 0x0102: b"", 0xFFFF: b"xyz"}),
+    Ciphertext(role=KeyRole.BANK_NET_KEYED, nonce=bytes(range(12)), body=b"sealed",
+               tag=bytes(16)).to_bytes(),
+]
+
+# Arbitrary bytes, and bytes behind a valid magic and version so that the
+# header parser gets past its first checks.
+arbitrary = st.one_of(
+    st.binary(max_size=80),
+    st.binary(max_size=80).map(lambda tail: MAGIC + bytes([VERSION]) + tail),
+)
+
+
+@given(arbitrary)
+# A field head cut short after an out-of-order tag: the order is reported.
+@example(u16(5) + u32(0) + u16(3) + b"\x00")
+def test_parsers_take_arbitrary_bytes(data):
+    check_parsers(data)
+
+
+@given(st.sampled_from(VALID_INPUTS), st.data())
+def test_parsers_take_one_byte_mutations_of_valid_input(valid, data):
+    index = data.draw(st.integers(0, len(valid) - 1))
+    value = data.draw(st.integers(0, 255))
+    mutated = valid[:index] + bytes([value]) + valid[index + 1:]
+    check_parsers(mutated)
+
+
+@pytest.mark.parametrize("valid", VALID_INPUTS)
+def test_parsers_take_every_truncation_of_valid_input(valid):
+    for cut in range(len(valid) + 1):
+        check_parsers(valid[:cut])
