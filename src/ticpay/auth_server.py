@@ -442,6 +442,12 @@ class BankActor(Actor):
         self.name = server.name
         self.provision_plan = dict(provision_plan or {})
         self.gateway = None  # wired by the world builder for two-way runs
+        self._handlers = {
+            "login_request": self._on_login,
+            "mode_select": self._on_mode_select,
+            "payment_submit": self._on_submit,
+            "sms_reply": self._on_sms_reply,
+        }
 
     # -- helpers -------------------------------------------------------------
 
@@ -498,12 +504,7 @@ class BankActor(Actor):
             ))
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
-        handler = {
-            "login_request": self._on_login,
-            "mode_select": self._on_mode_select,
-            "payment_submit": self._on_submit,
-            "sms_reply": self._on_sms_reply,
-        }.get(env.msg_type)
+        handler = self._handlers.get(env.msg_type)
         if handler is not None:
             handler(ctx, env)
             return

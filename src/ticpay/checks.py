@@ -10,6 +10,7 @@ finds plenty — the negative control that proves the scan can see.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ MERCHANT_SCHEMAS = {
 # Shorter secrets match random ciphertext bytes often enough to raise
 # false alarms, so the scan refuses them instead of giving a verdict.
 MIN_SECRET_LEN = 8
+_WORD = struct.Struct("I")  # native, as memoryview.cast("I") reads the buffer
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,17 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     real cipher is a protocol bug. A secret shorter than MIN_SECRET_LEN
     bytes raises ValueError.
 
-    Cost: the records' bytes are joined once. Every occurrence of a
-    secret starts an 8-byte word at one of the buffer's eight alignments,
-    so eight C-level set intersections of those words with the secrets'
-    first 8 bytes name the heads that occur. Only a distinct value whose
-    head occurs takes a C-level ``bytes.find`` walk over the buffer, so
-    the Python work grows with distinct secrets plus hits, not with
-    records x secrets, and a clean ciphertext log costs about eight
-    passes over its bytes. Overlapping hits are all found; a match that
-    runs from one record into the next is not a hit.
+    Cost: the records' bytes are joined once. A secret is at least 8
+    bytes long, so every occurrence of it covers one whole 4-byte word at
+    a 4-aligned offset of the buffer, and that word is the secret's
+    4-byte slice at offset 0, 1, 2 or 3. One C-level set intersection of
+    the buffer's aligned words with those four slices of every secret
+    names the slices that occur. Only a distinct value with a slice that
+    occurs takes a C-level ``bytes.find`` walk over the buffer, so the
+    Python work grows with distinct secrets plus hits, not with records x
+    secrets, and a clean ciphertext log costs about one pass over its
+    bytes. Overlapping hits are all found; a match that runs from one
+    record into the next is not a hit.
 
     Findings come in record order, then in the insertion order of
     ``secrets``, then by offset within the record. Two secret ids that
@@ -121,23 +125,20 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     for rank, value in enumerate(secrets.values()):
         ranks_by_value.setdefault(value, []).append(rank)
 
-    # Prefilter: a secret's head is its first 8 bytes read as one "Q"
-    # word (MIN_SECRET_LEN is 8, so every secret has one). A value whose
-    # head starts no word at any alignment of the buffer cannot occur.
-    heads = {value: memoryview(value[:MIN_SECRET_LEN]).cast("Q")[0]
-             for value in ranks_by_value}
-    wanted = set(heads.values())
-    present = set()
+    # Prefilter: an occurrence at offset p covers the aligned word that
+    # starts at the next multiple of 4, p + k with k in 0..3, and ends at
+    # p + k + 3 <= p + 6, inside the secret (MIN_SECRET_LEN is 8). So a
+    # value none of whose slices [k:k + 4] is an aligned "I" word of the
+    # buffer cannot occur.
+    slices = {value: [_WORD.unpack_from(value, k)[0] for k in range(4)]
+              for value in ranks_by_value}
     view = memoryview(wire)
-    for align in range(MIN_SECRET_LEN):
-        words = (len(wire) - align) // MIN_SECRET_LEN
-        if words > 0:
-            present |= wanted.intersection(
-                view[align:align + words * MIN_SECRET_LEN].cast("Q"))
+    present = {word for words in slices.values() for word in words}.intersection(
+        view[:len(wire) - len(wire) % 4].cast("I"))
 
     hits: List[Tuple[int, int, int]] = []  # (record index, secret rank, offset)
     for value, ranks in ranks_by_value.items():
-        if heads[value] not in present:
+        if present.isdisjoint(slices[value]):
             continue
         at = wire.find(value)
         while at != -1:

@@ -86,6 +86,17 @@ class ClientAgent(Actor):
         self._request_counter = 0
         self.request_id = ""
         self._invoice: Optional[dict] = None
+        self._handlers = {
+            "tic_provision": self._on_provision,
+            "login_response": self._on_login_response,
+            "mode_ack": self._on_mode_ack,
+            "submit_ack": self._on_submit_ack,
+            "sms_challenge": self._on_sms_challenge,
+            "txn_result": self._on_txn_result,
+            "invoice": self._on_invoice,
+            "merchant_auth_ack": self._on_merchant_auth_ack,
+            "payment_notice": self._on_payment_notice,
+        }
 
     # -- flow control ---------------------------------------------------------
 
@@ -119,17 +130,7 @@ class ClientAgent(Actor):
     # -- lifecycle ----------------------------------------------------------------
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
-        handler = {
-            "tic_provision": self._on_provision,
-            "login_response": self._on_login_response,
-            "mode_ack": self._on_mode_ack,
-            "submit_ack": self._on_submit_ack,
-            "sms_challenge": self._on_sms_challenge,
-            "txn_result": self._on_txn_result,
-            "invoice": self._on_invoice,
-            "merchant_auth_ack": self._on_merchant_auth_ack,
-            "payment_notice": self._on_payment_notice,
-        }.get(env.msg_type)
+        handler = self._handlers.get(env.msg_type)
         if handler is None:
             ctx.note(f"ignored msg_type={env.msg_type}")
             return

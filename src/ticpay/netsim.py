@@ -11,8 +11,15 @@ copies the adversary itself schedules; rules match on (channel, message
 type, nth occurrence) and can observe, drop, delay-replay, bit-tamper,
 or inject. Tampering is confined to body bytes so corrupted messages
 still route to their receiver, where strict decoding gets to reject them.
-Each transmission's header is parsed once, when it enters the wire, and
-travels with the bytes to delivery, where only the body is decoded.
+
+The bus re-reads bytes only where they may differ from what the sender
+encoded, that is, for injections and tampered copies. An actor's send
+carries the encoded bytes together with the header built from the
+envelope's own fields, a tag-ordered copy of its body fields and the
+bytes' digest; replays reuse all four, and delivery hands the receiver
+those fields without decoding. Injections and tampered copies have their
+header parsed and their digest taken once, and their body strictly
+decoded at delivery.
 
 The bus keeps a wire log of every byte that crossed a channel; leakage
 scans run over that log, not over the trace, which carries digests only.
@@ -30,6 +37,7 @@ from .errors import ScenarioError, StepBudgetExceeded, WireError
 from .wire import Channel, Envelope, Header, peek_header
 
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
+_CHANNEL_NAMES = {channel: channel.name for channel in Channel}
 DEFAULT_STEP_BUDGET = 10_000
 
 
@@ -102,8 +110,7 @@ class ProtocolTrace:
         return out
 
 
-@dataclass(frozen=True)
-class WireRecord:
+class WireRecord(NamedTuple):
     """One transmission as it crossed a channel, raw bytes included.
 
     `seq` is the trace sequence number of the matching send event, so a
@@ -211,7 +218,7 @@ class Actor:
 
 
 class Ctx:
-    """Per-delivery handle an actor uses to act on the world."""
+    """The handle an actor uses to act on the world; one per actor."""
 
     def __init__(self, sim: "Simulation", actor_name: str):
         self._sim = sim
@@ -222,7 +229,12 @@ class Ctx:
         return self._sim.now
 
     def send(self, env: Envelope, delay: int = 0) -> None:
-        self._sim.submit(env.to_bytes(), at=self._sim.now + delay)
+        """Encode `env` and enter it into the wire after `delay` seconds.
+
+        Raises the WireError the parser would raise for these bytes."""
+        data = env.to_bytes()
+        self._sim._push(self._sim.now + delay, "send", (
+            data, env.header(data), tuple(sorted(env.body.items())), digest16(data)))
 
     def set_timer(self, label: str, delay: int) -> int:
         return self._sim.set_timer(self.actor_name, label, self._sim.now + delay)
@@ -254,6 +266,7 @@ class Simulation:
         self.captured: List[WireRecord] = []
         self._occurrences: Dict[Tuple[Channel, str], int] = {}
         self._actors: Dict[str, Actor] = {}
+        self._ctxs: Dict[str, Ctx] = {}
         self._order: List[str] = []
         self._heap: List[Tuple[int, int, str, tuple]] = []
         self._tie = 0
@@ -271,6 +284,7 @@ class Simulation:
         if actor.name in self._actors:
             raise ScenarioError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
+        self._ctxs[actor.name] = Ctx(self, actor.name)
         self._order.append(actor.name)
 
     # -- event plumbing ----------------------------------------------------
@@ -281,9 +295,12 @@ class Simulation:
         self._tie += 1
         heapq.heappush(self._heap, (at, self._tie, kind, payload))
 
-    def _record(self, kind: str, **fields) -> int:
+    def _record(self, kind: str, channel=None, sender=None, receiver=None, msg_type=None,
+                request_id=None, body_digest=None, note=None) -> int:
         self._event_seq += 1
-        self.trace.record(TraceEvent(seq=self._event_seq, at=self.now, kind=kind, **fields))
+        self.trace.record(TraceEvent(
+            self._event_seq, self.now, kind, channel, sender, receiver, msg_type,
+            request_id, body_digest, note))
         return self._event_seq
 
     def trace_note(self, actor_name: str, text: str) -> None:
@@ -292,8 +309,11 @@ class Simulation:
     # -- sending -----------------------------------------------------------
 
     def submit(self, data: bytes, at: Optional[int] = None) -> None:
-        """Enter bytes into the wire; the adversary hook runs at that time."""
-        self._push(self.now if at is None else at, "send", (data,))
+        """Enter raw bytes into the wire; the adversary hook runs at that time.
+
+        The bytes are read then, as an injection's are: the run raises
+        WireError if their header does not parse."""
+        self._push(self.now if at is None else at, "send", (data, None, None, None))
 
     def set_timer(self, actor_name: str, label: str, at: int) -> int:
         self._timer_token += 1
@@ -304,23 +324,25 @@ class Simulation:
     def cancel_timer(self, token: int) -> None:
         self._cancelled.add(token)
 
-    def _dispatch_send(self, data: bytes) -> None:
-        # Cannot fail: actors send encoded envelopes, tampers touch only the
-        # body, and start() rejects injections without a valid header.
-        header = peek_header(data)
-        key = (header.channel, header.msg_type)
+    def _dispatch_send(self, data: bytes, header: Optional[Header],
+                       fields: Optional[Tuple[Tuple[int, bytes], ...]],
+                       digest: Optional[str]) -> None:
+        """Pass one transmission through the adversary onto its channel.
+
+        `header` and `digest` describe `data`, or are None for raw bytes
+        from submit(), which are read here. `fields` are the sender's body
+        fields in tag order, or None where only the bytes are known, so
+        delivery decodes the body.
+        """
+        if header is None:
+            header, digest = peek_header(data), digest16(data)
+        channel, msg_type = header.channel, header.msg_type
+        key = (channel, msg_type)
         occurrence = self._occurrences[key] = self._occurrences.get(key, 0) + 1
-        seq = self._record(
-            "send",
-            channel=header.channel.name,
-            sender=header.sender,
-            receiver=header.receiver,
-            msg_type=header.msg_type,
-            request_id=header.request_id or None,
-            body_digest=digest16(data),
-        )
-        record = WireRecord(seq, self.now, header.channel, header.sender,
-                            header.receiver, header.msg_type, data)
+        seq = self._record("send", _CHANNEL_NAMES[channel], header.sender, header.receiver,
+                           msg_type, header.request_id or None, digest)
+        record = WireRecord(seq, self.now, channel, header.sender,
+                            header.receiver, msg_type, data)
         self.wire_log.append(record)
 
         dropped = False
@@ -333,12 +355,12 @@ class Simulation:
             elif isinstance(action, Drop):
                 dropped = True
                 self._record("drop", channel=header.channel.name,
-                             msg_type=header.msg_type, body_digest=digest16(data))
+                             msg_type=header.msg_type, body_digest=digest)
             elif isinstance(action, Tamper):
                 data = self._apply_tamper(data, header, action)
-                header = peek_header(data)
+                header, fields, digest = peek_header(data), None, digest16(data)
                 seq = self._record("tamper", channel=header.channel.name,
-                                   msg_type=header.msg_type, body_digest=digest16(data))
+                                   msg_type=header.msg_type, body_digest=digest)
                 # The corrupted bytes are what actually crosses the wire.
                 self.wire_log.append(WireRecord(
                     seq, self.now, header.channel, header.sender,
@@ -346,14 +368,16 @@ class Simulation:
                 ))
             elif isinstance(action, Replay):
                 for i in range(action.copies):
-                    self._push(self.now + action.delay * (i + 1), "send", (data,))
+                    self._push(self.now + action.delay * (i + 1), "send",
+                               (data, header, fields, digest))
                 self._record("replay", channel=header.channel.name,
-                             msg_type=header.msg_type, body_digest=digest16(data))
+                             msg_type=header.msg_type, body_digest=digest)
             else:
                 raise ScenarioError(f"unknown adversary action {action!r}")
 
         if not dropped:
-            self._push(self.now + LATENCY[header.channel], "deliver", (data, header))
+            self._push(self.now + LATENCY[header.channel], "deliver",
+                       (header, fields, digest))
 
     @staticmethod
     def _apply_tamper(data: bytes, header: Header, action: Tamper) -> bytes:
@@ -366,28 +390,29 @@ class Simulation:
             buf[idx] ^= mask & 0xFF
         return bytes(buf)
 
-    def _dispatch_deliver(self, data: bytes, header: Header) -> None:
+    def _dispatch_deliver(self, header: Header,
+                          fields: Optional[Tuple[Tuple[int, bytes], ...]], digest: str) -> None:
         actor = self._actors.get(header.receiver)
         if actor is None:
             self._record("drop", channel=header.channel.name,
                          msg_type=header.msg_type, note="no such receiver")
             return
-        ctx = Ctx(self, actor.name)
-        try:
-            env = Envelope.from_header(header)
-        except WireError as exc:
-            self._record("reject-parse", channel=header.channel.name,
-                         sender=header.sender, receiver=header.receiver,
-                         msg_type=header.msg_type, note=str(exc))
-            actor.on_malformed(ctx, header)
-            return
-        env.seq = self._record(
-            "deliver",
-            channel=header.channel.name, sender=header.sender,
-            receiver=header.receiver, msg_type=header.msg_type,
-            request_id=header.request_id or None,
-            body_digest=digest16(data),
-        )
+        ctx = self._ctxs[actor.name]
+        if fields is None:
+            try:
+                env = Envelope.from_header(header)
+            except WireError as exc:
+                self._record("reject-parse", channel=header.channel.name,
+                             sender=header.sender, receiver=header.receiver,
+                             msg_type=header.msg_type, note=str(exc))
+                actor.on_malformed(ctx, header)
+                return
+        else:
+            env = Envelope(header.sender, header.receiver, header.channel, header.msg_type,
+                           dict(fields), header.cookie, header.request_id)
+        env.seq = self._record("deliver", _CHANNEL_NAMES[header.channel], header.sender,
+                               header.receiver, header.msg_type,
+                               header.request_id or None, digest)
         env.delivered_at = self.now
         actor.on_message(ctx, env)
 
@@ -395,15 +420,16 @@ class Simulation:
 
     def start(self) -> None:
         """Give every actor its opening move, in registration order."""
-        for i, (_at, data) in enumerate(self.adversary.injections):
+        injections = []
+        for i, (at, data) in enumerate(self.adversary.injections):
             try:
-                peek_header(data)
+                injections.append((at, data, peek_header(data)))
             except WireError as exc:
                 raise ScenarioError(f"injections[{i}]: {exc}") from exc
-        for at, data in sorted(self.adversary.injections, key=lambda p: p[0]):
-            self._push(max(at, self.now), "inject", (data,))
+        for at, data, header in sorted(injections, key=lambda p: p[0]):
+            self._push(max(at, self.now), "inject", (data, header))
         for name in self._order:
-            self._actors[name].on_start(Ctx(self, name))
+            self._actors[name].on_start(self._ctxs[name])
 
     def run(self) -> None:
         """Drain the heap to quiescence; raises if the step budget is exceeded."""
@@ -415,13 +441,14 @@ class Simulation:
             at, _tie, kind, payload = heapq.heappop(self._heap)
             self.now = at
             if kind == "send":
-                self._dispatch_send(payload[0])
+                self._dispatch_send(*payload)
             elif kind == "deliver":
                 self._dispatch_deliver(*payload)
             elif kind == "inject":
-                data = payload[0]
-                self._record("inject", body_digest=digest16(data))
-                self._dispatch_send(data)
+                data, header = payload
+                digest = digest16(data)
+                self._record("inject", body_digest=digest)
+                self._dispatch_send(data, header, None, digest)
             elif kind == "timer":
                 actor_name, label, token = payload
                 if token in self._cancelled:
@@ -429,7 +456,7 @@ class Simulation:
                 actor = self._actors.get(actor_name)
                 self._record("timer", receiver=actor_name, note=label)
                 if actor is not None:
-                    actor.on_timer(Ctx(self, actor_name), label)
+                    actor.on_timer(self._ctxs[actor_name], label)
             if self.after_event is not None:
                 self.after_event(self)
 

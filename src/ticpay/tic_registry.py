@@ -14,6 +14,7 @@ registry's contents, so runs replay deterministically.
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,8 @@ ALPHABET_NAME = "alphanumeric-upper"  # named in the vault header and the stream
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 CODE_LENGTH = 16
 REDRAW_BUDGET = 1000  # collisions tolerated per batch before generation gives up
+# DeterministicRng.below(len(ALPHABET)) rejects 64-bit words at or above this
+_DRAW_LIMIT = (1 << 64) - (1 << 64) % len(ALPHABET)
 
 
 def code_digest(value: str) -> str:
@@ -95,7 +98,19 @@ class TicRegistry:
 
     @staticmethod
     def _draw(rng: DeterministicRng) -> str:
-        return "".join(ALPHABET[rng.below(len(ALPHABET))] for _ in range(CODE_LENGTH))
+        """One code: the symbols CODE_LENGTH ``rng.below(len(ALPHABET))``
+        calls would pick, read from the stream in one take per round.
+
+        Each round reads one big-endian 64-bit word per symbol still
+        needed and skips any word at or above the rejection limit, so it
+        consumes the same words in the same order as the below() calls.
+        """
+        symbols: List[str] = []
+        while (need := CODE_LENGTH - len(symbols)) > 0:
+            symbols += [ALPHABET[word % len(ALPHABET)]
+                        for word in struct.unpack(f">{need}Q", rng.take(8 * need))
+                        if word < _DRAW_LIMIT]
+        return "".join(symbols)
 
     def generate_tics(self, account_id: str, count: int, seed: int | str | bytes) -> TicBatch:
         """Mint `count` distinct codes for an account and register them as issued.

@@ -152,18 +152,18 @@ def str16(value: str) -> bytes:
     raw = value.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise WireError("string field exceeds 65535 bytes")
-    return u16(len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 def encode_fields(fields: Dict[int, bytes]) -> bytes:
     """Canonical body: (tag, len, value) triples sorted by tag."""
-    out = bytearray()
+    parts = []
     for tag in sorted(fields):
         value = fields[tag]
         if not 0 <= tag <= 0xFFFF:
             raise WireError(f"field tag {tag} out of range")
-        out += u16(tag) + u32(len(value)) + value
-    return bytes(out)
+        parts += (_FIELD_HEAD.pack(tag, len(value)), value)
+    return b"".join(parts)
 
 
 def decode_fields(data: bytes) -> Dict[int, bytes]:
@@ -236,17 +236,32 @@ class Envelope:
 
     def to_bytes(self) -> bytes:
         body = encode_fields(self.body)
-        return (
-            MAGIC
-            + bytes([VERSION, self.channel])
-            + str16(self.sender)
-            + str16(self.receiver)
-            + str16(self.msg_type)
-            + str16(self.cookie)
-            + str16(self.request_id)
-            + u32(len(body))
-            + body
-        )
+        return b"".join((
+            MAGIC,
+            bytes((VERSION, self.channel)),
+            str16(self.sender),
+            str16(self.receiver),
+            str16(self.msg_type),
+            str16(self.cookie),
+            str16(self.request_id),
+            _U32.pack(len(body)),
+            body,
+        ))
+
+    def header(self, data: bytes) -> "Header":
+        """The header ``peek_header(data)`` returns, where `data` is this
+        envelope's ``to_bytes()``, built from its own fields without reading
+        `data` back: the body is the tail of `data`, six bytes of tag and
+        length per field plus the values. A channel the parser would reject
+        raises the parser's WireError.
+        """
+        channel = _CHANNELS.get(self.channel)
+        if channel is None:
+            raise WireError(f"unknown channel {data[3]}")
+        body = self.body
+        size = 6 * len(body) + sum(map(len, body.values()))
+        return Header(self.sender, self.receiver, channel, self.msg_type,
+                      self.cookie, self.request_id, data[len(data) - size:])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":

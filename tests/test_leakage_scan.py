@@ -64,22 +64,37 @@ def test_overlaps_straddles_empty_records_and_shared_values():
     assert reference_leakage_scan(log, secrets) == expected
 
 
-@pytest.mark.parametrize("value", [b"EIGHT-B!", b"TAIL-SECRET"])
+@pytest.mark.parametrize("value", [b"EIGHT-B!", b"NINE-BYTE", b"TEN-BYTES!", b"TAIL-SECRET"])
 @pytest.mark.parametrize("align", range(8))
 def test_a_secret_ending_at_the_last_byte_is_found_at_every_alignment(align, value):
-    # The secret's head starts the buffer's last whole word at alignment
-    # `align`; a prefilter that stopped one word short would miss it.
+    # The secret covers the buffer's last whole aligned word; a prefilter
+    # that stopped one word short would miss it.
     log = log_of(b"p" * align, value)
     secrets = {"tail": value}
     assert leakage_scan(log, secrets) == [LeakFinding(11, "tail", 0)]
     assert reference_leakage_scan(log, secrets) == [LeakFinding(11, "tail", 0)]
 
 
-@pytest.mark.parametrize("payloads", [(), (b"",), (b"abc", b"de"), (b"abcdefg",)])
+@pytest.mark.parametrize("payloads", [(), (b"",), (b"a",), (b"ab",), (b"abc",), (b"a", b"", b"bc"),
+                                      (b"abc", b"de"), (b"abcdefg",)])
 def test_logs_shorter_than_a_word_have_no_findings(payloads):
     log = log_of(*payloads)
     secrets = {"s": b"abcdeabc", "t": b"abcdefgh"}
     assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets) == []
+
+
+@pytest.mark.parametrize("tail", range(4))
+@pytest.mark.parametrize("lead", range(4))
+@pytest.mark.parametrize("length", range(MIN_SECRET_LEN, MIN_SECRET_LEN + 4))
+def test_a_secret_is_found_at_every_offset_mod_4(length, lead, tail):
+    # The aligned word an occurrence covers is the secret's slice at
+    # offset (4 - lead) % 4; a prefilter missing any of the four slices
+    # misses the secret at one of these offsets.
+    value = b"SECRET-0123"[:length]
+    log = log_of(b"p" * 4, b"q" * lead + value + b"r" * tail)
+    secrets = {"s": value}
+    assert leakage_scan(log, secrets) == [LeakFinding(11, "s", lead)]
+    assert reference_leakage_scan(log, secrets) == [LeakFinding(11, "s", lead)]
 
 
 # Two letters and periodic payloads such as "abababab" make overlapping

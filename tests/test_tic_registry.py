@@ -114,3 +114,53 @@ def test_collision_exhaustion_stops_generation():
     reg.generate_tics("ACC-1", REDRAW_BUDGET + 1, seed=b"clash")
     with pytest.raises(CollisionExhaustion):
         reg.generate_tics("ACC-1", REDRAW_BUDGET + 1, seed=b"clash")
+
+
+# -- the batched draw against the per-symbol below() loop it replaced --------
+
+
+def reference_draw(rng: DeterministicRng) -> str:
+    return "".join(ALPHABET[rng.below(len(ALPHABET))] for _ in range(CODE_LENGTH))
+
+
+LIMIT = (1 << 64) - (1 << 64) % len(ALPHABET)  # below(36) rejects words from here up
+
+
+class ScriptedRng(DeterministicRng):
+    """A stream that serves the given 64-bit words, big-endian, then ends."""
+
+    def __init__(self, words):
+        super().__init__(b"unused")
+        self.rest = b"".join(word.to_bytes(8, "big") for word in words)
+
+    def take(self, n: int) -> bytes:
+        assert n <= len(self.rest), "read past the scripted words"
+        out, self.rest = self.rest[:n], self.rest[n:]
+        return out
+
+
+def test_draw_matches_the_reference_on_many_seeds():
+    for seed in range(500):
+        ours, theirs = (DeterministicRng(seed, "tic|draw") for _ in range(2))
+        for _ in range(3):
+            assert TicRegistry._draw(ours) == reference_draw(theirs)
+        assert ours.take(8) == theirs.take(8)  # the same bytes were consumed
+
+
+@pytest.mark.parametrize("high", [
+    (0, 7, 15),
+    (0, 7, 15, 16),  # a rejected word in the second read, too
+    tuple(range(16)),  # a whole first read rejected
+])
+def test_draw_skips_words_at_or_above_the_limit_like_the_reference(high):
+    # Real streams reach the rejection path with probability about 2^-59
+    # per code, so only a scripted stream exercises it. The rejected words
+    # sit exactly at the limit and at the top of the range; the first
+    # accepted word sits just below the limit.
+    spare = 2
+    low = iter([LIMIT - 1] + [i * 0x9E3779B97F4A7C15 % LIMIT for i in range(1, 64)])
+    words = [(LIMIT if i % 2 else (1 << 64) - 1) if i in high else next(low)
+             for i in range(CODE_LENGTH + len(high) + spare)]
+    ours, theirs = ScriptedRng(words), ScriptedRng(words)
+    assert TicRegistry._draw(ours) == reference_draw(theirs)
+    assert ours.rest == theirs.rest and len(ours.rest) == 8 * spare
