@@ -88,11 +88,9 @@ class PendingTransaction:
     order: PaymentOrder
     tic_digest: str
     account_id: str
-    sms_sent_at: int
     expiry_deadline: int
     request_id: str = ""
     state: TxnState = TxnState.PENDING
-    abort_cause: Optional[str] = None
 
 
 @dataclass
@@ -363,7 +361,6 @@ class BankServer:
             order=order,
             tic_digest=code_digest(tic_value),
             account_id=session.account_id,
-            sms_sent_at=now,
             expiry_deadline=now + self.sms_deadline,
             request_id=request_id,
         )
@@ -384,7 +381,6 @@ class BankServer:
         amount = txn.order.amount
         if self.balances.get(payer, 0) < amount:
             txn.state = TxnState.ABORTED
-            txn.abort_cause = "insufficient-funds"
             self._close_session_of(txn)
             return ReplyResult(ok=True, committed=False, cause="insufficient-funds", txn=txn)
         # Both legs move together: value leaves the payer and lands either in
@@ -403,7 +399,6 @@ class BankServer:
 
     def _abort(self, txn: PendingTransaction, cause: str) -> ReplyResult:
         txn.state = TxnState.ABORTED
-        txn.abort_cause = cause
         self._close_session_of(txn)
         return ReplyResult(ok=True, committed=False, cause=cause, txn=txn)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .netsim import ProtocolTrace, WireRecord
-from .wire import Envelope, F, WireError
+from .wire import F
 
 # Delivered msg_type order of a clean single-payment run, client and bank
 # only. Step markers: provisioning and login are the entry stairs, then
@@ -161,29 +161,34 @@ class ConformanceResult:
     step: Optional[int] = None       # first divergent step, 0-based
     expected: Optional[str] = None
     got: Optional[str] = None
+    seq: Optional[int] = None        # trace seq where the run diverged
 
     def describe(self) -> str:
         if self.ok:
             return "conformance: pass"
         return (f"conformance: diverged at step {self.step}: "
-                f"expected {self.expected!r}, got {self.got!r}")
+                f"expected {self.expected!r}, got {self.got!r} seq={self.seq}")
 
 
 def conformance_check(trace: ProtocolTrace, template: Sequence[str]) -> ConformanceResult:
     """Compare delivered msg_types, in order, against a template.
 
-    The whole run must match, extra traffic included.
+    The whole run must match, extra traffic included. A divergence names
+    the ``seq`` of the divergent delivery or, when the deliveries run out
+    first, of the run's last event (0 for an empty trace).
     """
-    delivered = [e.msg_type for e in trace.events if e.kind == "deliver"]
+    delivered = [e for e in trace.events if e.kind == "deliver"]
     for i, expected in enumerate(template):
         if i >= len(delivered):
-            return ConformanceResult(ok=False, step=i, expected=expected, got=None)
-        if delivered[i] != expected:
+            return ConformanceResult(ok=False, step=i, expected=expected, got=None,
+                                     seq=trace.events[-1].seq if trace.events else 0)
+        if delivered[i].msg_type != expected:
             return ConformanceResult(ok=False, step=i, expected=expected,
-                                     got=delivered[i])
+                                     got=delivered[i].msg_type, seq=delivered[i].seq)
     if len(delivered) > len(template):
+        extra = delivered[len(template)]
         return ConformanceResult(ok=False, step=len(template), expected=None,
-                                 got=delivered[len(template)])
+                                 got=extra.msg_type, seq=extra.seq)
     return ConformanceResult(ok=True)
 
 
@@ -202,9 +207,12 @@ def merchant_blindness_check(
 
     Two layers: the message type and its field set must be in the allowed
     schema, and the raw bytes must not contain any customer account id.
-    The byte layer is one ``leakage_scan`` over the merchant-bound records
-    that pass the type and parse tests, so an account id shorter than
-    MIN_SECRET_LEN bytes raises ValueError.
+    The field tags come from each record's ``fields``, the body its
+    description carried, so nothing is parsed here; a record whose body
+    did not decode is an unparseable envelope. The byte layer is one
+    ``leakage_scan`` over the merchant-bound records that pass the type
+    and parse tests, so an account id shorter than MIN_SECRET_LEN bytes
+    raises ValueError.
 
     Findings come in record order; within a record, the schema finding
     first, then one finding per account id it holds, in input order.
@@ -223,12 +231,10 @@ def merchant_blindness_check(
             bound.append((record.seq, BlindnessFinding(
                 record.seq, f"unexpected msg_type {record.msg_type!r} to merchant")))
             continue
-        try:
-            env = Envelope.from_bytes(record.data)
-        except WireError:
+        if record.fields is None:
             bound.append((record.seq, BlindnessFinding(record.seq, "unparseable envelope")))
             continue
-        extra = set(env.body) - set(allowed)
+        extra = {tag for tag, _ in record.fields} - allowed
         bound.append((record.seq, BlindnessFinding(
             record.seq, f"fields {sorted(extra)} outside merchant schema") if extra else None))
         scanned.append(record)

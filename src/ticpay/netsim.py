@@ -10,16 +10,15 @@ Every transmission passes the adversary hook exactly once, including
 copies the adversary itself schedules; rules match on (channel, message
 type, nth occurrence) and can observe, drop, delay-replay, bit-tamper,
 or inject. Tampering is confined to body bytes so corrupted messages
-still route to their receiver, where strict decoding gets to reject them.
+still route to their receiver, which gets the strict decoder's rejection.
 
-The bus re-reads bytes only where they may differ from what the sender
-encoded, that is, for injections and tampered copies. An actor's send
-carries the encoded bytes together with the header built from the
-envelope's own fields, a tag-ordered copy of its body fields and the
-bytes' digest; replays reuse all four, and delivery hands the receiver
-those fields without decoding. Injections and tampered copies have their
-header parsed and their digest taken once, and their body strictly
-decoded at delivery.
+Each transmission is described once, where it enters the wire: its
+header, its body fields in tag order (or the strict decoder's error) and
+its digest travel with the bytes, and replays, delivery and the wire log
+read only that description. An actor's send builds it from the envelope
+it encoded. Bytes no sender described are read once: injections when the
+run starts, tampered copies at the tamper. Delivery hands the receiver
+the carried fields, or rejects a body that did not decode.
 
 The bus keeps a wire log of every byte that crossed a channel; leakage
 scans run over that log, not over the trace, which carries digests only.
@@ -31,18 +30,33 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ScenarioError, StepBudgetExceeded, WireError
-from .wire import Channel, Envelope, Header, peek_header
+from .wire import Channel, Envelope, Header, decode_fields, peek_header
 
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
 _CHANNEL_NAMES = {channel: channel.name for channel in Channel}
 DEFAULT_STEP_BUDGET = 10_000
 
 
+Fields = Tuple[Tuple[int, bytes], ...]  # body fields in tag order
+
+
 def digest16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _describe(data: bytes) -> Tuple[Header, Union[Fields, WireError], str]:
+    """Read bytes no sender described: the header, the body fields in tag
+    order or the strict decoder's error, and the digest. Raises WireError
+    if the header does not parse."""
+    header = peek_header(data)
+    try:
+        fields: Union[Fields, WireError] = tuple(decode_fields(header.raw_body).items())
+    except WireError as exc:
+        fields = exc
+    return header, fields, digest16(data)
 
 
 # -- trace ------------------------------------------------------------------
@@ -115,6 +129,8 @@ class WireRecord(NamedTuple):
 
     `seq` is the trace sequence number of the matching send event, so a
     finding against these bytes can cite a line in the exported trace.
+    `fields` are the body fields of `data` in tag order, the tuple its
+    description carried, or None when the body does not decode.
     """
 
     seq: int
@@ -124,6 +140,7 @@ class WireRecord(NamedTuple):
     receiver: str
     msg_type: str
     data: bytes
+    fields: Optional[Fields]
 
 
 # -- adversary --------------------------------------------------------------
@@ -229,9 +246,10 @@ class Ctx:
         return self._sim.now
 
     def send(self, env: Envelope, delay: int = 0) -> None:
-        """Encode `env` and enter it into the wire after `delay` seconds.
-
-        Raises the WireError the parser would raise for these bytes."""
+        """Encode `env` and enter it into the wire after `delay` seconds,
+        described by the header, tag-ordered body fields and digest that
+        `env` gives. Raises the WireError the parser would raise for these
+        bytes."""
         data = env.to_bytes()
         self._sim._push(self._sim.now + delay, "send", (
             data, env.header(data), tuple(sorted(env.body.items())), digest16(data)))
@@ -308,13 +326,6 @@ class Simulation:
 
     # -- sending -----------------------------------------------------------
 
-    def submit(self, data: bytes, at: Optional[int] = None) -> None:
-        """Enter raw bytes into the wire; the adversary hook runs at that time.
-
-        The bytes are read then, as an injection's are: the run raises
-        WireError if their header does not parse."""
-        self._push(self.now if at is None else at, "send", (data, None, None, None))
-
     def set_timer(self, actor_name: str, label: str, at: int) -> int:
         self._timer_token += 1
         token = self._timer_token
@@ -324,25 +335,20 @@ class Simulation:
     def cancel_timer(self, token: int) -> None:
         self._cancelled.add(token)
 
-    def _dispatch_send(self, data: bytes, header: Optional[Header],
-                       fields: Optional[Tuple[Tuple[int, bytes], ...]],
-                       digest: Optional[str]) -> None:
+    def _dispatch_send(self, data: bytes, header: Header,
+                       fields: Union[Fields, WireError], digest: str) -> None:
         """Pass one transmission through the adversary onto its channel.
 
-        `header` and `digest` describe `data`, or are None for raw bytes
-        from submit(), which are read here. `fields` are the sender's body
-        fields in tag order, or None where only the bytes are known, so
-        delivery decodes the body.
+        `header`, `fields` and `digest` describe `data`; only a tamper reads
+        bytes here, and it describes the corrupted copy once.
         """
-        if header is None:
-            header, digest = peek_header(data), digest16(data)
         channel, msg_type = header.channel, header.msg_type
         key = (channel, msg_type)
         occurrence = self._occurrences[key] = self._occurrences.get(key, 0) + 1
         seq = self._record("send", _CHANNEL_NAMES[channel], header.sender, header.receiver,
                            msg_type, header.request_id or None, digest)
-        record = WireRecord(seq, self.now, channel, header.sender,
-                            header.receiver, msg_type, data)
+        record = WireRecord(seq, self.now, channel, header.sender, header.receiver, msg_type,
+                            data, None if isinstance(fields, WireError) else fields)
         self.wire_log.append(record)
 
         dropped = False
@@ -358,13 +364,13 @@ class Simulation:
                              msg_type=header.msg_type, body_digest=digest)
             elif isinstance(action, Tamper):
                 data = self._apply_tamper(data, header, action)
-                header, fields, digest = peek_header(data), None, digest16(data)
+                header, fields, digest = _describe(data)
                 seq = self._record("tamper", channel=header.channel.name,
                                    msg_type=header.msg_type, body_digest=digest)
                 # The corrupted bytes are what actually crosses the wire.
                 self.wire_log.append(WireRecord(
-                    seq, self.now, header.channel, header.sender,
-                    header.receiver, header.msg_type, data,
+                    seq, self.now, header.channel, header.sender, header.receiver,
+                    header.msg_type, data, None if isinstance(fields, WireError) else fields,
                 ))
             elif isinstance(action, Replay):
                 for i in range(action.copies):
@@ -391,25 +397,21 @@ class Simulation:
         return bytes(buf)
 
     def _dispatch_deliver(self, header: Header,
-                          fields: Optional[Tuple[Tuple[int, bytes], ...]], digest: str) -> None:
+                          fields: Union[Fields, WireError], digest: str) -> None:
         actor = self._actors.get(header.receiver)
         if actor is None:
             self._record("drop", channel=header.channel.name,
                          msg_type=header.msg_type, note="no such receiver")
             return
         ctx = self._ctxs[actor.name]
-        if fields is None:
-            try:
-                env = Envelope.from_header(header)
-            except WireError as exc:
-                self._record("reject-parse", channel=header.channel.name,
-                             sender=header.sender, receiver=header.receiver,
-                             msg_type=header.msg_type, note=str(exc))
-                actor.on_malformed(ctx, header)
-                return
-        else:
-            env = Envelope(header.sender, header.receiver, header.channel, header.msg_type,
-                           dict(fields), header.cookie, header.request_id)
+        if isinstance(fields, WireError):
+            self._record("reject-parse", channel=header.channel.name,
+                         sender=header.sender, receiver=header.receiver,
+                         msg_type=header.msg_type, note=str(fields))
+            actor.on_malformed(ctx, header)
+            return
+        env = Envelope(header.sender, header.receiver, header.channel, header.msg_type,
+                       dict(fields), header.cookie, header.request_id)
         env.seq = self._record("deliver", _CHANNEL_NAMES[header.channel], header.sender,
                                header.receiver, header.msg_type,
                                header.request_id or None, digest)
@@ -419,15 +421,16 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def start(self) -> None:
-        """Give every actor its opening move, in registration order."""
+        """Read the injections and give every actor its opening move, in
+        registration order."""
         injections = []
         for i, (at, data) in enumerate(self.adversary.injections):
             try:
-                injections.append((at, data, peek_header(data)))
+                injections.append((at, (data, *_describe(data))))
             except WireError as exc:
                 raise ScenarioError(f"injections[{i}]: {exc}") from exc
-        for at, data, header in sorted(injections, key=lambda p: p[0]):
-            self._push(max(at, self.now), "inject", (data, header))
+        for at, payload in sorted(injections, key=lambda p: p[0]):
+            self._push(max(at, self.now), "inject", payload)
         for name in self._order:
             self._actors[name].on_start(self._ctxs[name])
 
@@ -445,10 +448,8 @@ class Simulation:
             elif kind == "deliver":
                 self._dispatch_deliver(*payload)
             elif kind == "inject":
-                data, header = payload
-                digest = digest16(data)
-                self._record("inject", body_digest=digest)
-                self._dispatch_send(data, header, None, digest)
+                self._record("inject", body_digest=payload[3])
+                self._dispatch_send(*payload)
             elif kind == "timer":
                 actor_name, label, token = payload
                 if token in self._cancelled:

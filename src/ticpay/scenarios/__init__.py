@@ -558,20 +558,11 @@ def _eval_expectations(world: World) -> List[CheckResult]:
 
 def _eval_checks(world: World, conservation_violations: List[str]) -> List[CheckResult]:
     spec = world.spec
-    trace = world.sim.trace
     results = []
     for name in spec.checks:
         if name == "conformance":
-            template = TEMPLATES[spec.flow]
-            outcome = conformance_check(trace, template)
-            detail = outcome.describe()
-            if not outcome.ok:
-                step_events = [e for e in trace.events if e.kind == "deliver"]
-                seq = (step_events[outcome.step].seq
-                       if outcome.step is not None and outcome.step < len(step_events)
-                       else trace.events[-1].seq if trace.events else 0)
-                detail += f" seq={seq}"
-            results.append(CheckResult("conformance", outcome.ok, detail))
+            outcome = conformance_check(world.sim.trace, TEMPLATES[spec.flow])
+            results.append(CheckResult("conformance", outcome.ok, outcome.describe()))
         elif name == "leakage":
             findings = leakage_scan(world.sim.wire_log, world.secrets())
             if spec.cipher == "null":

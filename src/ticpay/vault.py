@@ -15,7 +15,6 @@ known cipher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from cryptography.hazmat.primitives import hashes
@@ -40,18 +39,13 @@ def _vault_key(password: str, salt: bytes) -> bytes:
     return kdf.derive(password.encode("utf-8"))
 
 
-@dataclass
-class _Contents:
-    values: List[str]  # unused codes only; a picked code is gone from here
-
-
 class TicVault:
     """Password-sealed, in-order, consume-once store of TIC codes."""
 
     def __init__(
         self,
         salt: bytes,
-        sealed: Ciphertext,
+        sealed: Optional[Ciphertext],
         seal_count: int,
         cipher: str = "aes-gcm",
     ):
@@ -63,7 +57,7 @@ class TicVault:
         self._cipher_name = cipher
         self._suite = CryptoSuite(cipher, nonces=NonceSequence(start=seal_count + 1))
         self._key: Optional[bytes] = None
-        self._contents: Optional[_Contents] = None
+        self._values: Optional[List[str]] = None  # unused codes, oldest first; None while locked
 
     # -- construction -------------------------------------------------------
 
@@ -76,19 +70,12 @@ class TicVault:
         cipher: str = "aes-gcm",
     ) -> "TicVault":
         """Build an unlocked vault around a fresh batch (may be empty)."""
-        if len(salt) != SALT_LEN:
-            raise ValueError(f"salt must be {SALT_LEN} bytes")
+        vault = cls(bytes(salt), None, 0, cipher)  # _reseal sets the blob
         values = [getattr(c, "value", c) for c in codes]
         for v in values:
             TicCode(value=v)  # validates symbols and length
-        vault = cls.__new__(cls)
-        vault.salt = bytes(salt)
-        vault._seal_count = 0
-        vault._cipher_name = cipher
-        vault._suite = CryptoSuite(cipher, nonces=NonceSequence(start=1))
         vault._key = _vault_key(password, vault.salt)
-        vault._contents = _Contents(values=values)
-        vault._sealed = None  # set by _reseal
+        vault._values = values
         vault._reseal()
         return vault
 
@@ -110,21 +97,21 @@ class TicVault:
         values = [reader.str16() for _ in range(count)]
         reader.expect_end()
         self._key = key
-        self._contents = _Contents(values=values)
+        self._values = values
 
     def lock(self) -> None:
         self._key = None
-        self._contents = None
+        self._values = None
 
-    def _require_unlocked(self) -> _Contents:
-        if self._key is None or self._contents is None:
+    def _require_unlocked(self) -> List[str]:
+        if self._key is None or self._values is None:
             raise VaultLocked("vault is locked")
-        return self._contents
+        return self._values
 
     def _reseal(self) -> None:
-        contents = self._require_unlocked()
-        payload = u16(len(contents.values))
-        for value in contents.values:
+        values = self._require_unlocked()
+        payload = u16(len(values))
+        for value in values:
             payload += str16(value)
         self._seal_count += 1
         self._sealed = self._suite.seal_blob(KeyRole.VAULT_KEYED, self._key, payload, "vault")
@@ -132,18 +119,17 @@ class TicVault:
     # -- use ----------------------------------------------------------------
 
     def remaining(self) -> int:
-        return len(self._require_unlocked().values)
+        return len(self._require_unlocked())
 
     def codes(self) -> List[TicCode]:
-        contents = self._require_unlocked()
-        return [TicCode(value=v) for v in contents.values]
+        return [TicCode(value=v) for v in self._require_unlocked()]
 
     def pick(self) -> TicCode:
         """Remove and return the oldest unused code, resealing the vault."""
-        contents = self._require_unlocked()
-        if not contents.values:
+        values = self._require_unlocked()
+        if not values:
             raise VaultEmpty("no unused codes remain in the vault")
-        value = contents.values.pop(0)
+        value = values.pop(0)
         self._reseal()
         return TicCode(value=value)
 

@@ -265,27 +265,16 @@ class Envelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
-        return cls.from_header(peek_header(data))
-
-    @classmethod
-    def from_header(cls, header: "Header") -> "Envelope":
-        """Decode the body of an already parsed header."""
-        return cls(
-            sender=header.sender,
-            receiver=header.receiver,
-            channel=header.channel,
-            msg_type=header.msg_type,
-            body=decode_fields(header.raw_body),
-            cookie=header.cookie,
-            request_id=header.request_id,
-        )
+        header = peek_header(data)
+        return cls(header.sender, header.receiver, header.channel, header.msg_type,
+                   decode_fields(header.raw_body), header.cookie, header.request_id)
 
 
 class Header(NamedTuple):
     """Routing view of an envelope: header fields plus undecoded body bytes.
 
     The bus routes on this so a message with a corrupted body still reaches
-    its receiver, where the strict decoder gets to reject it.
+    its receiver, which gets the strict decoder's rejection.
     """
 
     sender: str

@@ -5,7 +5,9 @@ The check's byte layer is now one ``leakage_scan`` over the merchant-bound
 records. The reference is O(records x accounts), but its meaning is plain,
 so the check must return the same findings in the same order on every
 bundled two-way scenario under both ciphers, on an attacked two-way world
-and on a hand-made log.
+and on a hand-made log. The schema layer reads the field tags each wire
+record carries, so the check must find the same with every parser patched
+to raise.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, List, Sequence
 
 import pytest
 
+from ticpay import checks, netsim, wire
 from ticpay.checks import MERCHANT_SCHEMAS, BlindnessFinding, merchant_blindness_check
 from ticpay.netsim import AdversaryScript, Rule, Tamper, WireRecord
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec
@@ -96,32 +99,63 @@ def envelope(msg_type: str, body=None, cookie: str = "", receiver: str = "shopzo
                     msg_type=msg_type, body=dict(body or {}), cookie=cookie).to_bytes()
 
 
-def test_check_matches_the_reference_on_an_attacked_two_way_world():
-    # Two tampers of the confirmation's first field tag: AMOUNT (0x0C)
-    # becomes MODE (0x08), outside the schema, then 0x2C, out of order.
-    # Two injections reach the merchant: a disallowed type, and a checkout
-    # whose cookie carries the customer's account id twice.
+def attacked_twoway_spec():
+    """happy-twoway under the null cipher with two tampers and two injections.
+
+    Both tampers hit the confirmation's first field tag: AMOUNT (0x0C)
+    becomes MODE (0x08), outside the schema, then 0x2C, out of order, so
+    its body no longer decodes. Both injections reach the merchant: a
+    disallowed type, and a checkout whose cookie carries the customer's
+    account id twice.
+    """
     spec = load_spec(find_bundled("happy-twoway"))
     account = spec.clients[0].account_id
-    spec = replace(spec, cipher="null", adversary=AdversaryScript(
+    return replace(spec, cipher="null", adversary=AdversaryScript(
         rules=(Rule(Tamper(edits=((1, 0x04),)), msg_type="payment_confirmation"),
                Rule(Tamper(edits=((1, 0x24),)), msg_type="payment_confirmation")),
         injections=((5, envelope("sms_challenge")),
                     (6, envelope("checkout_request", cookie=account * 2))),
     ))
-    findings = both(*blindness_inputs(ran(spec)))
-    assert sorted({f.reason for f in findings}) == [
-        "customer account id present in merchant-bound bytes",
-        f"fields [{int(F.MODE)}] outside merchant schema",
-        "unexpected msg_type 'sms_challenge' to merchant",
-        "unparseable envelope",
-    ]
+
+
+ATTACKED_REASONS = [
+    "customer account id present in merchant-bound bytes",
+    f"fields [{int(F.MODE)}] outside merchant schema",
+    "unexpected msg_type 'sms_challenge' to merchant",
+    "unparseable envelope",
+]
+
+
+def test_check_matches_the_reference_on_an_attacked_two_way_world():
+    findings = both(*blindness_inputs(ran(attacked_twoway_spec())))
+    assert sorted({f.reason for f in findings}) == ATTACKED_REASONS
+
+
+def test_check_reads_the_carried_fields_and_parses_nothing(monkeypatch):
+    inputs = blindness_inputs(ran(attacked_twoway_spec()))
+    expected = reference_blindness_check(*inputs)
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the blindness check parsed a transmission")
+
+    for module in (wire, netsim, checks):
+        for name in ("peek_header", "decode_fields"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_parse)
+    monkeypatch.setattr(Envelope, "from_bytes", no_parse)
+    findings = merchant_blindness_check(*inputs)
+    assert findings == expected
+    assert sorted({f.reason for f in findings}) == ATTACKED_REASONS
 
 
 def test_check_matches_the_reference_on_a_hand_made_log():
     def record(seq, data, receiver="shopzone", msg_type="checkout_request"):
+        try:
+            fields = tuple(Envelope.from_bytes(data).body.items())
+        except WireError:
+            fields = None
         return WireRecord(seq=seq, at=0, channel=Channel.WEB, sender="mallory",
-                          receiver=receiver, msg_type=msg_type, data=data)
+                          receiver=receiver, msg_type=msg_type, data=data, fields=fields)
 
     twice = envelope("checkout_request", cookie="ACC-1001|ACC-1001")
     log = [

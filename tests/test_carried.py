@@ -4,8 +4,9 @@ An actor's send puts the header built from the envelope's own fields, a
 copy of its body fields and the digest on the wire next to the encoded
 bytes, and delivery hands those fields over without decoding. The parser
 stays the oracle: the carried header and fields must equal what
-``peek_header`` and ``decode_fields`` read from the same bytes, and a send
-the parser would reject must raise its WireError.
+``peek_header`` and ``decode_fields`` read from the same bytes, so must
+every wire record's ``fields`` (None exactly where the decoder rejects the
+body), and a send the parser would reject must raise its WireError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from ticpay.errors import WireError
 from ticpay.netsim import Actor, Simulation, digest16
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec
 from ticpay.wire import Channel, Envelope, decode_fields, peek_header
+
+from test_blindness import attacked_twoway_spec
 
 
 def sent(env: Envelope):
@@ -92,10 +95,29 @@ class Tap:
         self.on_message(ctx, env)
 
 
-@pytest.mark.parametrize("name", [entry["name"] for entry in list_bundled()])
-def test_every_delivered_body_is_what_its_wire_bytes_decode_to(name):
+ATTACKED = "attacked-twoway"
+
+
+def worlds(name):
+    """The bundled scenario `name` at seeds 0-9, or the attacked two-way world."""
+    if name == ATTACKED:
+        yield build_world(attacked_twoway_spec())
+        return
     for seed in range(10):
-        world = build_world(replace(load_spec(find_bundled(name)), seed=seed))
+        yield build_world(replace(load_spec(find_bundled(name)), seed=seed))
+
+
+def decoded_body(data: bytes):
+    """The body fields the parser reads from `data`, or None if it rejects them."""
+    try:
+        return tuple(decode_fields(peek_header(data).raw_body).items())
+    except WireError:
+        return None
+
+
+@pytest.mark.parametrize("name", [entry["name"] for entry in list_bundled()] + [ATTACKED])
+def test_every_delivered_body_is_what_its_wire_bytes_decode_to(name):
+    for world in worlds(name):
         sim, delivered = world.sim, []
         for actor in sim._actors.values():
             actor.on_message = Tap(actor, delivered)
@@ -105,8 +127,11 @@ def test_every_delivered_body_is_what_its_wire_bytes_decode_to(name):
         by_digest = {}
         for record in sim.wire_log:
             assert events[record.seq - 1].body_digest == digest16(record.data)
+            assert record.fields == decoded_body(record.data)
             by_digest[digest16(record.data)] = record.data
         assert delivered
+        if name == ATTACKED:  # its second tamper leaves a body that does not decode
+            assert None in [record.fields for record in sim.wire_log]
         for env in delivered:
             data = by_digest[events[env.seq - 1].body_digest]
             parsed = Envelope.from_bytes(data)

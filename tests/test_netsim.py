@@ -302,7 +302,7 @@ def test_events_cannot_be_scheduled_in_the_past():
     sim = Simulation()
     sim.now = 10
     with pytest.raises(ScenarioError, match="past"):
-        sim.submit(b"data", at=3)
+        sim.set_timer("nobody", "late", at=3)
 
 
 def test_duplicate_actor_names_are_rejected():

@@ -8,9 +8,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 from click.testing import CliRunner
 
-from ticpay.checks import leakage_scan
+from ticpay.checks import ONE_WAY_TEMPLATE, conformance_check, leakage_scan
 from ticpay.cli import main
 from ticpay.errors import ScenarioError
+from ticpay.netsim import ProtocolTrace, TraceEvent
 from ticpay.scenarios import (
     find_bundled,
     list_bundled,
@@ -247,6 +248,34 @@ def test_conformance_failure_cites_a_trace_seq():
     assert not report.passed
     line = next(r for r in report.results if r.name == "conformance")
     assert "seq=" in line.detail
+
+
+def test_conformance_names_the_seq_of_the_divergent_delivery():
+    # One template over both clients' deliveries: a two-client world fails.
+    raw = minimal_raw(checks=["conformance"])
+    raw["clients"].append(dict(raw["clients"][0], username="bob", cell="+27-82-000-0002",
+                               account_id="ACC-1002"))
+    report = run_spec(parse_spec(raw))
+    trace = report.world.sim.trace
+    outcome = conformance_check(trace, ONE_WAY_TEMPLATE)
+    assert not outcome.ok
+    divergent = [e for e in trace.events if e.kind == "deliver"][outcome.step]
+    assert (outcome.seq, outcome.got) == (divergent.seq, divergent.msg_type)
+    line = next(r for r in report.results if r.name == "conformance")
+    assert line.detail == (f"conformance: diverged at step {outcome.step}: expected "
+                           f"{outcome.expected!r}, got {divergent.msg_type!r} "
+                           f"seq={divergent.seq}")
+
+
+def test_conformance_names_the_last_event_when_deliveries_run_out():
+    trace = ProtocolTrace()
+    assert conformance_check(trace, ["a"]).seq == 0
+    trace.record(TraceEvent(1, 0, "send", msg_type="a"))
+    trace.record(TraceEvent(2, 1, "deliver", msg_type="a"))
+    trace.record(TraceEvent(3, 1, "note", note="done"))
+    outcome = conformance_check(trace, ["a", "b"])
+    assert (outcome.step, outcome.expected, outcome.got, outcome.seq) == (1, "b", None, 3)
+    assert conformance_check(trace, ["a"]).ok
 
 
 def test_null_cipher_flips_the_leakage_check_into_a_control():
