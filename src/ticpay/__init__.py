@@ -38,7 +38,6 @@ from .errors import (
 from .netsim import (
     AdversaryScript,
     Drop,
-    Observe,
     ProtocolTrace,
     Replay,
     Rule,
@@ -72,7 +71,6 @@ __all__ = [
     "MerchantCertificate",
     "NoCertificate",
     "ONE_WAY_TEMPLATE",
-    "Observe",
     "PayMode",
     "PaymentOrder",
     "Phase",

@@ -19,6 +19,7 @@ from .scenarios import (
     find_bundled,
     list_bundled,
     load_spec,
+    parse_checks,
     run_spec,
 )
 
@@ -67,13 +68,8 @@ def run(scenario: str, seed, cipher, checks, trace_out, report_out, verbose) -> 
         if cipher is not None:
             spec = replace(spec, cipher=cipher)
         if checks is not None:
-            wanted = tuple(c.strip() for c in checks.split(",") if c.strip())
-            if not wanted:
-                raise ScenarioError("--checks: name at least one check")
-            for c in wanted:
-                if c not in KNOWN_CHECKS:
-                    raise ScenarioError(f"--checks: unknown check {c!r}")
-            spec = replace(spec, checks=wanted)
+            wanted = [c.strip() for c in checks.split(",") if c.strip()]
+            spec = replace(spec, checks=parse_checks(wanted, "--checks"))
         report = run_spec(spec)
     except ScenarioError as exc:
         click.echo(f"error: {exc}", err=True)

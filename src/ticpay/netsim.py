@@ -8,8 +8,8 @@ byte-identically.
 
 Every transmission passes the adversary hook exactly once, including
 copies the adversary itself schedules; rules match on (channel, message
-type, nth occurrence) and can observe, drop, delay-replay, bit-tamper,
-or inject. Tampering is confined to body bytes so corrupted messages
+type, nth occurrence) and can drop, delay-replay, bit-tamper, or
+inject. Tampering is confined to body bytes so corrupted messages
 still route to their receiver, which gets the strict decoder's rejection.
 
 Each transmission is described once, where it enters the wire: its
@@ -147,11 +147,6 @@ class WireRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Observe:
-    """Capture a copy of the matched bytes without disturbing delivery."""
-
-
-@dataclass(frozen=True)
 class Drop:
     """Suppress delivery of the matched transmission."""
 
@@ -280,8 +275,6 @@ class Simulation:
         self.step_budget = step_budget
         self.trace = ProtocolTrace()
         self.wire_log: List[WireRecord] = []
-        #: transmissions copied by Observe rules
-        self.captured: List[WireRecord] = []
         self._occurrences: Dict[Tuple[Channel, str], int] = {}
         self._actors: Dict[str, Actor] = {}
         self._ctxs: Dict[str, Ctx] = {}
@@ -347,18 +340,16 @@ class Simulation:
         occurrence = self._occurrences[key] = self._occurrences.get(key, 0) + 1
         seq = self._record("send", _CHANNEL_NAMES[channel], header.sender, header.receiver,
                            msg_type, header.request_id or None, digest)
-        record = WireRecord(seq, self.now, channel, header.sender, header.receiver, msg_type,
-                            data, None if isinstance(fields, WireError) else fields)
-        self.wire_log.append(record)
+        self.wire_log.append(WireRecord(
+            seq, self.now, channel, header.sender, header.receiver, msg_type,
+            data, None if isinstance(fields, WireError) else fields))
 
         dropped = False
         for rule in self.adversary.rules:
             if not rule.matches(header, occurrence):
                 continue
             action = rule.action
-            if isinstance(action, Observe):
-                self.captured.append(record)
-            elif isinstance(action, Drop):
+            if isinstance(action, Drop):
                 dropped = True
                 self._record("drop", channel=header.channel.name,
                              msg_type=header.msg_type, body_digest=digest)

@@ -3,8 +3,8 @@
 A scenario is a YAML document (schema version 1) describing the cast —
 bank, customers with their credentials and vault sizes, optionally a
 merchant and its bank — plus an adversary script, the checks to run,
-and what the run is expected to produce. Validation is strict: a wrong
-or missing field is a hard error naming its path, never a silent
+and what the run is expected to produce. Validation is strict: a wrong,
+missing or unknown field is a hard error naming its path, never a silent
 default.
 
 Attack scenarios pass when the protocol holds: the expectation block
@@ -21,10 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 import yaml
 
-from ..auth_server import BankActor, BankServer
+from ..auth_server import DEFAULT_SMS_DEADLINE, BankActor, BankServer
 from ..checks import (
     MIN_SECRET_LEN,
     TEMPLATES,
+    TWO_WAY_TEMPLATE,
     collect_secrets,
     conformance_check,
     leakage_scan,
@@ -35,9 +36,9 @@ from ..client_agent import ClientAgent
 from ..crypto import _CIPHERS, Pin
 from ..errors import ScenarioError, StepBudgetExceeded
 from ..netsim import (
+    DEFAULT_STEP_BUDGET,
     AdversaryScript,
     Drop,
-    Observe,
     Replay,
     Rule,
     Simulation,
@@ -50,51 +51,86 @@ from ..wire import Channel
 SCHEMA_VERSION = 1
 KNOWN_CHECKS = ("conformance", "leakage", "conservation", "blindness")
 CHANNELS = {"web": Channel.WEB, "sms": Channel.SMS, "interbank": Channel.INTERBANK}
+MSG_TYPES = frozenset(TWO_WAY_TEMPLATE)  # every type the protocol sends
 
 
 # -- validation helpers --------------------------------------------------------
 
-
-def _get(mapping: dict, key: str, path: str, kind, required: bool = True, default=None):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
-    if key not in mapping:
-        if required:
-            raise ScenarioError(f"{path}.{key}: missing")
-        return default
-    value = mapping[key]
-    if kind is int and isinstance(value, bool):
-        raise ScenarioError(f"{path}.{key}: expected integer, got boolean")
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+_REQUIRED = object()
 
 
-def _at_least(value: Optional[int], low: int, path: str) -> Optional[int]:
-    if value is not None and value < low:
-        raise ScenarioError(f"{path}: must be >= {low}, got {value}")
-    return value
+class _Reader:
+    """One scenario mapping and its path, recording every key it reads.
 
+    Readers opened from one another share a list, so that once a whole
+    document is parsed `reject_unread` can fail on the first key that no
+    reader read. The parser is thus the only list of known fields.
+    """
 
-def _account_id(mapping: dict, key: str, path: str) -> str:
-    # Account ids are leakage-scan secrets; a short one matches random
-    # ciphertext bytes and raises false alarms.
-    value = _get(mapping, key, path, str)
-    if len(value.encode("utf-8")) < MIN_SECRET_LEN:
-        raise ScenarioError(f"{path}.{key}: must be at least {MIN_SECRET_LEN} bytes")
-    return value
+    def __init__(self, mapping, path: str, opened: List["_Reader"]):
+        if not isinstance(mapping, dict):
+            raise ScenarioError(f"{path}: expected a mapping")
+        self.mapping = mapping
+        self.path = path
+        self.read: set = set()
+        self.opened = opened
+        opened.append(self)
 
+    def nested(self, mapping, name: str) -> "_Reader":
+        return _Reader(mapping, f"{self.path}.{name}", self.opened)
 
-def _strings(mapping: dict, key: str, path: str) -> Tuple[str, ...]:
-    items = _get(mapping, key, path, list, required=False, default=[])
-    for i, item in enumerate(items):
-        if not isinstance(item, str):
+    def get(self, key: str, kind, default=_REQUIRED):
+        """The value at `key`, of type `kind` (None: any); `default` when
+        the key is absent, and an error if no default is given."""
+        self.read.add(key)
+        if key not in self.mapping:
+            if default is _REQUIRED:
+                raise ScenarioError(f"{self.path}.{key}: missing")
+            return default
+        value = self.mapping[key]
+        if kind is int and isinstance(value, bool):
+            raise ScenarioError(f"{self.path}.{key}: expected integer, got boolean")
+        if kind is not None and not isinstance(value, kind):
             raise ScenarioError(
-                f"{path}.{key}[{i}]: expected str, got {type(item).__name__}")
-    return tuple(items)
+                f"{self.path}.{key}: expected {getattr(kind, '__name__', kind)}, "
+                f"got {type(value).__name__}"
+            )
+        return value
+
+    def at_least(self, key: str, low: int, default=_REQUIRED) -> Optional[int]:
+        value = self.get(key, int, default)
+        if value is not None and value < low:
+            raise ScenarioError(f"{self.path}.{key}: must be >= {low}, got {value}")
+        return value
+
+    def account_id(self, key: str) -> str:
+        # Account ids are leakage-scan secrets; a short one matches random
+        # ciphertext bytes and raises false alarms.
+        value = self.get(key, str)
+        if len(value.encode("utf-8")) < MIN_SECRET_LEN:
+            raise ScenarioError(
+                f"{self.path}.{key}: must be at least {MIN_SECRET_LEN} bytes")
+        return value
+
+    def strings(self, key: str) -> Tuple[str, ...]:
+        items = self.get(key, list, ())
+        for i, item in enumerate(items):
+            if not isinstance(item, str):
+                raise ScenarioError(
+                    f"{self.path}.{key}[{i}]: expected str, got {type(item).__name__}")
+        return tuple(items)
+
+    def pay_mode(self) -> PayMode:
+        try:
+            return PayMode.from_name(self.get("mode", str, "electronic-transfer"))
+        except ValueError as exc:
+            raise ScenarioError(f"{self.path}.mode: {exc}") from None
+
+    def reject_unread(self) -> None:
+        for reader in self.opened:
+            for key in reader.mapping:
+                if key not in reader.read:
+                    raise ScenarioError(f"{reader.path}.{key}: unknown field")
 
 
 def _reply_policy(value, path: str) -> str:
@@ -116,7 +152,28 @@ def _pin(value, path: str) -> Pin:
     return pin
 
 
+def _msg_type(value: str, path: str) -> str:
+    # A name the protocol never sends would make a rule that never fires
+    # or an expectation that always holds.
+    if value not in MSG_TYPES:
+        raise ScenarioError(f"{path}: unknown message type {value!r}")
+    return value
+
+
+def parse_checks(names, path: str) -> Tuple[str, ...]:
+    """Validate the names of the checks to run; errors name `path`."""
+    if not names:
+        # An empty list would run nothing and report PASS.
+        raise ScenarioError(f"{path}: name at least one check")
+    for name in names:
+        if name not in KNOWN_CHECKS:
+            raise ScenarioError(f"{path}: unknown check {name!r}")
+    return tuple(names)
+
+
 # -- spec dataclasses ------------------------------------------------------------
+# Only parse_spec builds the specs, so their fields carry no defaults:
+# each default is stated once, where the parser reads the field.
 
 
 @dataclass(frozen=True)
@@ -130,11 +187,9 @@ class ClientSpec:
     balance: int
     vault_password: str
     tic_batch: int
-    reply: str = "yes"
-    reply_delay: int = 0
-    mode: str = "electronic-transfer"
-    login_password: Optional[str] = None  # device-side override for bad-credential runs
-    payments: Tuple[PaymentOrder, ...] = ()
+    reply: str
+    mode: str  # the checkout's payment mode; a one-way agent never reads it
+    payments: Tuple[PaymentOrder, ...]  # one-way only
 
 
 @dataclass(frozen=True)
@@ -144,9 +199,7 @@ class MerchantSpec:
     account_id: str
     balance: int
     price: int
-    bank: str = "mbank"
-    cert_valid_from: int = 0
-    cert_valid_until: int = 10**9
+    cert_valid_until: int
 
 
 @dataclass(frozen=True)
@@ -167,207 +220,170 @@ class ScenarioSpec:
     flow: str  # one-way | two-way
     seed: int
     clients: Tuple[ClientSpec, ...]
-    merchant: Optional[MerchantSpec] = None
-    bank_name: str = "cbank"
-    cipher: str = "aes-gcm"
-    sms_deadline: int = 300
-    step_budget: int = 10_000
-    adversary: AdversaryScript = AdversaryScript()
-    expect: ExpectSpec = ExpectSpec()
-    checks: Tuple[str, ...] = KNOWN_CHECKS
+    merchant: Optional[MerchantSpec]
+    cipher: str
+    sms_deadline: int
+    step_budget: int
+    adversary: AdversaryScript
+    expect: ExpectSpec
+    checks: Tuple[str, ...]
 
 
-def _parse_payment(raw, path: str) -> PaymentOrder:
-    mode_name = _get(raw, "mode", path, str, required=False,
-                     default="electronic-transfer")
-    try:
-        mode = PayMode.from_name(mode_name)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.mode: {exc}") from None
-    amount = _get(raw, "amount", path, int)
+def _parse_payment(r: _Reader) -> PaymentOrder:
+    mode = r.pay_mode()
+    amount = r.get("amount", int)
     if amount <= 0:
-        raise ScenarioError(f"{path}.amount: must be positive")
-    order = PaymentOrder(
-        mode=mode,
-        payee_account=_account_id(raw, "payee", path),
-        amount=amount,
-        invoice_number=_get(raw, "invoice", path, str, required=False),
-    )
-    return order
+        raise ScenarioError(f"{r.path}.amount: must be positive")
+    return PaymentOrder(mode=mode, payee_account=r.account_id("payee"), amount=amount)
 
 
-def _parse_client(raw, path: str, flow: str) -> ClientSpec:
-    pin = _pin(_get(raw, "pin", path, None), f"{path}.pin")
-    device_pin_raw = _get(raw, "device_pin", path, None, required=False)
-    device_pin = _pin(device_pin_raw, f"{path}.device_pin") if device_pin_raw else pin
-    payments_raw = _get(raw, "payments", path, list,
-                        required=(flow == "one-way"), default=[])
-    payments = tuple(
-        _parse_payment(p, f"{path}.payments[{i}]") for i, p in enumerate(payments_raw)
-    )
-    if flow == "one-way" and not payments:
-        raise ScenarioError(f"{path}.payments: one-way scenario needs at least one")
+def _parse_client(r: _Reader, flow: str) -> ClientSpec:
+    pin = _pin(r.get("pin", None), f"{r.path}.pin")
+    device_pin_raw = r.get("device_pin", None, None)
+    device_pin = _pin(device_pin_raw, f"{r.path}.device_pin") if device_pin_raw else pin
+    # Each flow reads only its own key: a one-way client pays its scripted
+    # payments, a two-way client pays the merchant's invoice in `mode`.
+    payments: Tuple[PaymentOrder, ...] = ()
+    if flow == "one-way":
+        payments = tuple(_parse_payment(r.nested(p, f"payments[{i}]"))
+                         for i, p in enumerate(r.get("payments", list)))
+        if not payments:
+            raise ScenarioError(f"{r.path}.payments: one-way scenario needs at least one")
     return ClientSpec(
-        username=_get(raw, "username", path, str),
-        password=_get(raw, "password", path, str),
+        username=r.get("username", str),
+        password=r.get("password", str),
         pin=pin,
         device_pin=device_pin,
-        cell=_get(raw, "cell", path, str),
-        account_id=_account_id(raw, "account_id", path),
-        balance=_get(raw, "balance", path, int),
-        vault_password=_get(raw, "vault_password", path, str),
-        tic_batch=_get(raw, "tic_batch", path, int),
-        reply=_reply_policy(_get(raw, "reply", path, None, required=False,
-                                 default="yes"), f"{path}.reply"),
-        reply_delay=_at_least(_get(raw, "reply_delay", path, int, required=False,
-                                   default=0), 0, f"{path}.reply_delay"),
-        mode=_get(raw, "mode", path, str, required=False,
-                  default="electronic-transfer"),
-        login_password=_get(raw, "login_password", path, str, required=False),
+        cell=r.get("cell", str),
+        account_id=r.account_id("account_id"),
+        balance=r.get("balance", int),
+        vault_password=r.get("vault_password", str),
+        tic_batch=r.get("tic_batch", int),
+        reply=_reply_policy(r.get("reply", None, "yes"), f"{r.path}.reply"),
+        mode=(r.pay_mode() if flow == "two-way" else PayMode.ELECTRONIC_TRANSFER).label,
         payments=payments,
     )
 
 
-def _parse_merchant(raw, path: str) -> MerchantSpec:
+def _parse_merchant(r: _Reader) -> MerchantSpec:
     return MerchantSpec(
-        merchant_id=_get(raw, "id", path, str),
-        display_name=_get(raw, "display_name", path, str),
-        account_id=_account_id(raw, "account_id", path),
-        balance=_get(raw, "balance", path, int, required=False, default=0),
-        price=_get(raw, "price", path, int),
-        bank=_get(raw, "bank", path, str, required=False, default="mbank"),
-        cert_valid_from=_get(raw, "cert_valid_from", path, int,
-                             required=False, default=0),
-        cert_valid_until=_get(raw, "cert_valid_until", path, int,
-                              required=False, default=10**9),
+        merchant_id=r.get("id", str),
+        display_name=r.get("display_name", str),
+        account_id=r.account_id("account_id"),
+        balance=r.get("balance", int, 0),
+        price=r.get("price", int),
+        cert_valid_until=r.get("cert_valid_until", int, 10**9),
     )
 
 
-def _parse_rule(raw, path: str) -> Rule:
-    action_name = _get(raw, "action", path, str)
-    channel_name = _get(raw, "channel", path, str, required=False)
+def _parse_rule(r: _Reader) -> Rule:
+    action_name = r.get("action", str)
+    channel_name = r.get("channel", str, None)
     if channel_name is not None and channel_name not in CHANNELS:
-        raise ScenarioError(f"{path}.channel: expected one of {sorted(CHANNELS)}")
-    nth = _at_least(_get(raw, "nth", path, int, required=False), 1, f"{path}.nth")
-    msg_type = _get(raw, "msg_type", path, str, required=False)
-    if action_name == "observe":
-        action = Observe()
-    elif action_name == "drop":
+        raise ScenarioError(f"{r.path}.channel: expected one of {sorted(CHANNELS)}")
+    nth = r.at_least("nth", 1, None)
+    msg_type = r.get("msg_type", str, None)
+    if action_name == "drop":
         action = Drop()
     elif action_name == "replay":
-        action = Replay(
-            delay=_at_least(_get(raw, "delay", path, int, required=False, default=1),
-                            0, f"{path}.delay"),
-            copies=_at_least(_get(raw, "copies", path, int, required=False, default=1),
-                             1, f"{path}.copies"),
-        )
+        action = Replay(delay=r.at_least("delay", 0, 1), copies=r.at_least("copies", 1, 1))
     elif action_name == "tamper":
-        edits_raw = _get(raw, "edits", path, list)
         edits = []
-        for i, e in enumerate(edits_raw):
-            edit_path = f"{path}.edits[{i}]"
-            mask = _get(e, "mask", edit_path, int, required=False, default=1)
+        for i, e in enumerate(r.get("edits", list)):
+            edit = r.nested(e, f"edits[{i}]")
+            mask = edit.get("mask", int, 1)
             if not 1 <= mask <= 255:
-                raise ScenarioError(f"{edit_path}.mask: must be in 1..255, got {mask}")
-            edits.append((
-                _at_least(_get(e, "offset", edit_path, int), 0, f"{edit_path}.offset"),
-                mask,
-            ))
+                raise ScenarioError(f"{edit.path}.mask: must be in 1..255, got {mask}")
+            edits.append((edit.at_least("offset", 0), mask))
         action = Tamper(edits=tuple(edits))
     else:
-        raise ScenarioError(
-            f"{path}.action: expected observe, drop, replay, or tamper")
+        raise ScenarioError(f"{r.path}.action: expected drop, replay, or tamper")
     return Rule(
         action=action,
         channel=CHANNELS[channel_name] if channel_name else None,
-        msg_type=msg_type,
+        msg_type=None if msg_type is None else _msg_type(msg_type, f"{r.path}.msg_type"),
         nth=nth,
     )
 
 
 def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
-    """Validate a loaded YAML document into a ScenarioSpec; errors name fields."""
+    """Validate a loaded YAML document into a ScenarioSpec; errors name fields.
+
+    A key the parser does not read fails as an unknown field. That check
+    runs last, so any other error in the document is reported first.
+    """
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: document must be a mapping")
-    schema = _get(raw, "schema", source, int)
+    doc = _Reader(raw, source, [])
+    schema = doc.get("schema", int)
     if schema != SCHEMA_VERSION:
         raise ScenarioError(f"{source}.schema: unsupported version {schema}")
-    flow = _get(raw, "flow", source, str)
+    flow = doc.get("flow", str)
     if flow not in ("one-way", "two-way"):
         raise ScenarioError(f"{source}.flow: expected one-way or two-way")
 
-    clients_raw = _get(raw, "clients", source, list)
+    clients_raw = doc.get("clients", list)
     if not clients_raw:
         raise ScenarioError(f"{source}.clients: at least one client required")
     clients = tuple(
-        _parse_client(c, f"{source}.clients[{i}]", flow)
+        _parse_client(doc.nested(c, f"clients[{i}]"), flow)
         for i, c in enumerate(clients_raw)
     )
 
     merchant = None
     if flow == "two-way":
-        merchant = _parse_merchant(
-            _get(raw, "merchant", source, dict), f"{source}.merchant")
+        merchant = _parse_merchant(doc.nested(doc.get("merchant", dict), "merchant"))
     elif "merchant" in raw:
         raise ScenarioError(f"{source}.merchant: only valid in a two-way flow")
 
     adversary = AdversaryScript()
-    if "adversary" in raw:
-        adv_raw = _get(raw, "adversary", source, dict)
-        rules_raw = _get(adv_raw, "rules", f"{source}.adversary", list,
-                         required=False, default=[])
+    adv_raw = doc.get("adversary", dict, None)
+    if adv_raw is not None:
+        adv = doc.nested(adv_raw, "adversary")
         adversary = AdversaryScript(rules=tuple(
-            _parse_rule(r, f"{source}.adversary.rules[{i}]")
-            for i, r in enumerate(rules_raw)
+            _parse_rule(adv.nested(r, f"rules[{i}]"))
+            for i, r in enumerate(adv.get("rules", list, []))
         ))
 
     expect = ExpectSpec()
-    if "expect" in raw:
-        exp_raw = _get(raw, "expect", source, dict)
+    exp_raw = doc.get("expect", dict, None)
+    if exp_raw is not None:
+        exp = doc.nested(exp_raw, "expect")
         expect = ExpectSpec(
-            outcomes=_strings(exp_raw, "outcomes", f"{source}.expect"),
-            notes=_strings(exp_raw, "notes", f"{source}.expect"),
-            absent_notes=_strings(exp_raw, "absent_notes", f"{source}.expect"),
-            absent_msg_types=_strings(exp_raw, "absent_msg_types", f"{source}.expect"),
+            outcomes=exp.strings("outcomes"),
+            notes=exp.strings("notes"),
+            absent_notes=exp.strings("absent_notes"),
+            absent_msg_types=tuple(
+                _msg_type(t, f"{exp.path}.absent_msg_types[{i}]")
+                for i, t in enumerate(exp.strings("absent_msg_types"))),
         )
         if expect.outcomes and len(clients) > 1:
             # The outcomes list is one client's; the others would go unchecked.
             raise ScenarioError(f"{source}.expect.outcomes: only valid with one client, "
                                 f"got {len(clients)}")
 
-    checks = _get(raw, "checks", source, list, required=False,
-                  default=list(KNOWN_CHECKS))
-    if not checks:
-        # An empty list would run nothing and report PASS.
-        raise ScenarioError(f"{source}.checks: name at least one check")
-    for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise ScenarioError(f"{source}.checks: unknown check {c!r}")
-    cipher = _get(raw, "cipher", source, str, required=False, default="aes-gcm")
+    checks = parse_checks(doc.get("checks", list, KNOWN_CHECKS), f"{source}.checks")
+    cipher = doc.get("cipher", str, "aes-gcm")
     if cipher not in _CIPHERS:
         raise ScenarioError(f"{source}.cipher: expected one of {sorted(_CIPHERS)}, "
                             f"got {cipher!r}")
 
-    bank_raw = _get(raw, "bank", source, dict, required=False, default={})
-    return ScenarioSpec(
-        name=_get(raw, "name", source, str),
-        description=_get(raw, "description", source, str, required=False,
-                         default=""),
+    spec = ScenarioSpec(
+        name=doc.get("name", str),
+        description=doc.get("description", str, ""),
         flow=flow,
-        seed=_get(raw, "seed", source, int, required=False, default=0),
+        seed=doc.get("seed", int, 0),
         clients=clients,
         merchant=merchant,
-        bank_name=_get(bank_raw, "name", f"{source}.bank", str,
-                       required=False, default="cbank"),
         cipher=cipher,
-        sms_deadline=_at_least(_get(raw, "sms_deadline", source, int, required=False,
-                                    default=300), 1, f"{source}.sms_deadline"),
-        step_budget=_at_least(_get(raw, "step_budget", source, int, required=False,
-                                   default=10_000), 1, f"{source}.step_budget"),
+        sms_deadline=doc.at_least("sms_deadline", 1, DEFAULT_SMS_DEADLINE),
+        step_budget=doc.at_least("step_budget", 1, DEFAULT_STEP_BUDGET),
         adversary=adversary,
         expect=expect,
-        checks=tuple(checks),
+        checks=checks,
     )
+    doc.reject_unread()
+    return spec
 
 
 def load_spec(path: Path) -> ScenarioSpec:
@@ -389,14 +405,10 @@ def list_bundled() -> List[dict]:
     """Names and descriptions of the scenarios shipped with the package."""
     out = []
     for entry in sorted(bundled_dir().iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".yaml"):
-            continue
-        raw = yaml.safe_load(entry.read_text())
-        out.append({
-            "name": raw.get("name", entry.name),
-            "description": raw.get("description", ""),
-            "file": entry.name,
-        })
+        if entry.name.endswith(".yaml"):
+            spec = load_spec(Path(str(entry)))
+            out.append({"name": spec.name, "description": spec.description,
+                        "file": entry.name})
     return out
 
 
@@ -436,7 +448,6 @@ class World:
 
 def build_world(spec: ScenarioSpec) -> World:
     server = BankServer(
-        name=spec.bank_name,
         seed=spec.seed,
         cipher=spec.cipher,
         sms_deadline=spec.sms_deadline,
@@ -458,14 +469,14 @@ def build_world(spec: ScenarioSpec) -> World:
     merchant_agent = None
     if spec.flow == "two-way":
         m = spec.merchant
-        merchant_bank = MerchantBank(name=m.bank, seed=spec.seed, cipher=spec.cipher)
+        merchant_bank = MerchantBank(seed=spec.seed, cipher=spec.cipher)
         record = merchant_bank.register_merchant(
             m.merchant_id, m.account_id, m.display_name, balance=m.balance,
-            valid_from=m.cert_valid_from, valid_until=m.cert_valid_until,
+            valid_until=m.cert_valid_until,
         )
-        merchant_agent = MerchantAgent(record, bank=m.bank, price=m.price,
+        merchant_agent = MerchantAgent(record, bank=merchant_bank.name, price=m.price,
                                        cipher=spec.cipher)
-        TwoWayGateway(bank_actor, known_banks={m.bank})
+        TwoWayGateway(bank_actor, known_banks={merchant_bank.name})
         sim.add_actor(merchant_bank)
         sim.add_actor(merchant_agent)
 
@@ -473,13 +484,12 @@ def build_world(spec: ScenarioSpec) -> World:
     for c in spec.clients:
         client = ClientAgent(
             name=c.username,
-            password=c.login_password if c.login_password is not None else c.password,
+            password=c.password,
             pin=c.device_pin,
             vault_password=c.vault_password,
-            bank=spec.bank_name,
+            bank=server.name,
             payments=list(c.payments),
             reply_policy=c.reply,
-            reply_delay=c.reply_delay,
             merchant=spec.merchant.merchant_id if spec.flow == "two-way" else None,
             mode=c.mode,
             cipher=spec.cipher,

@@ -14,7 +14,6 @@ from ticpay.netsim import (
     Actor,
     AdversaryScript,
     Drop,
-    Observe,
     ProtocolTrace,
     Replay,
     Rule,
@@ -137,15 +136,6 @@ def test_drop_suppresses_delivery():
     assert [r.msg_type for r in sim.wire_log] == ["a", "b"]
 
 
-def test_observe_captures_exact_bytes():
-    sink = Recorder("sink")
-    env = msg("src", "sink", "a", body={1: b"payload"})
-    adversary = AdversaryScript(rules=[Rule(action=Observe(), msg_type="a")])
-    sim = simulate([Opener("src", [env]), sink], adversary)
-    assert len(sim.captured) == 1
-    assert sim.captured[0].data == env.to_bytes()
-
-
 def test_replay_counts_occurrences_across_copies():
     sink = Recorder("sink")
     # nth=1 replays only the original; the copy is occurrence 2 and no rule
@@ -243,16 +233,12 @@ def test_injection_without_a_valid_header_fails_at_start():
 
 
 def test_one_adversary_script_drives_independent_runs():
-    adversary = AdversaryScript(rules=[
-        Rule(action=Observe(), msg_type="a"),
-        Rule(action=Drop(), msg_type="a", nth=1),
-    ])
+    adversary = AdversaryScript(rules=[Rule(action=Drop(), msg_type="a", nth=1)])
     burst = [msg("src", "sink", "a", body={1: b"x"}), msg("src", "sink", "a", body={1: b"y"})]
     for _ in range(2):
         sink = Recorder("sink")
-        sim = simulate([Opener("src", burst), sink], adversary)
+        simulate([Opener("src", burst), sink], adversary)
         assert [e.body for e in sink.got] == [{1: b"y"}]
-        assert len(sim.captured) == 2
 
 
 def test_unknown_receiver_is_dropped_with_a_note():
