@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from .crypto import CryptoSuite, Pin, SecretKey
+from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin, SecretKey
 from .errors import IntegrityFailure, RoleMismatch, WireError
 from .netsim import Actor, Ctx, digest16
 from .payment import PayMode, PaymentOrder
@@ -163,7 +163,7 @@ class BankServer:
         self,
         name: str = "cbank",
         seed: int | str | bytes = 0,
-        cipher: str = "aes-gcm",
+        cipher: str = DEFAULT_CIPHER,
         sms_deadline: int = DEFAULT_SMS_DEADLINE,
     ):
         self.name = name

@@ -207,7 +207,7 @@ def merchant_blindness_check(
 
     Two layers: the message type and its field set must be in the allowed
     schema, and the raw bytes must not contain any customer account id.
-    The field tags come from each record's ``fields``, the body its
+    The field tags are each record's ``tags``, taken from the body its
     description carried, so nothing is parsed here; a record whose body
     did not decode is an unparseable envelope. The byte layer is one
     ``leakage_scan`` over the merchant-bound records that pass the type
@@ -231,10 +231,10 @@ def merchant_blindness_check(
             bound.append((record.seq, BlindnessFinding(
                 record.seq, f"unexpected msg_type {record.msg_type!r} to merchant")))
             continue
-        if record.fields is None:
+        if record.tags is None:
             bound.append((record.seq, BlindnessFinding(record.seq, "unparseable envelope")))
             continue
-        extra = {tag for tag, _ in record.fields} - allowed
+        extra = set(record.tags) - allowed
         bound.append((record.seq, BlindnessFinding(
             record.seq, f"fields {sorted(extra)} outside merchant schema") if extra else None))
         scanned.append(record)

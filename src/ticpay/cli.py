@@ -78,7 +78,8 @@ def run(scenario: str, seed, cipher, checks, trace_out, report_out, verbose) -> 
         for event in report.world.sim.trace.events:
             click.echo(f"  {event.as_dict()}")
     if trace_out is not None:
-        trace_out.write_text(report.world.sim.trace.export_jsonl())
+        with trace_out.open("w") as out:
+            out.writelines(report.world.sim.trace.chunks())
         click.echo(f"trace written to {trace_out}")
     if report_out is not None:
         report_out.write_text(report.render())

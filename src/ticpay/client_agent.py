@@ -17,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .crypto import CryptoSuite, Pin
+from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
 from .two_way import MerchantCertificate
 from .vault import TicVault
 from .wire import Channel, Ciphertext, Envelope, F
+
+DEFAULT_REPLY_POLICY = "yes"
 
 
 @dataclass
@@ -59,11 +61,11 @@ class ClientAgent(Actor):
         vault_password: str,
         bank: str = "cbank",
         payments: Optional[List[PaymentOrder]] = None,
-        reply_policy: str = "yes",
+        reply_policy: str = DEFAULT_REPLY_POLICY,
         reply_delay: int = 0,
         merchant: Optional[str] = None,
         mode: str = "electronic-transfer",
-        cipher: str = "aes-gcm",
+        cipher: str = DEFAULT_CIPHER,
     ):
         if reply_policy not in ("yes", "no", "ignore"):
             raise ValueError(f"unknown reply policy {reply_policy!r}")

@@ -140,6 +140,7 @@ class NullCipher:
 
 
 _CIPHERS = {cipher.name: cipher for cipher in (AesGcmCipher(), NullCipher())}
+DEFAULT_CIPHER = AesGcmCipher.name
 
 
 def get_cipher(name: str):
@@ -156,7 +157,7 @@ def _ad(label: str, context: str) -> bytes:
 class CryptoSuite:
     """All protocol encryption operations over one cipher and nonce source."""
 
-    def __init__(self, cipher="aes-gcm", nonces: NonceSequence | None = None):
+    def __init__(self, cipher=DEFAULT_CIPHER, nonces: NonceSequence | None = None):
         self.cipher = get_cipher(cipher) if isinstance(cipher, str) else cipher
         self.nonces = nonces if nonces is not None else NonceSequence()
 

@@ -20,8 +20,14 @@ it encoded. Bytes no sender described are read once: injections when the
 run starts, tampered copies at the tamper. Delivery hands the receiver
 the carried fields, or rejects a body that did not decode.
 
-The bus keeps a wire log of every byte that crossed a channel; leakage
-scans run over that log, not over the trace, which carries digests only.
+The bus keeps a wire log of every byte that crossed a channel, with each
+body's tags but not its field values; leakage scans run over that log, not
+over the trace, which carries digests only.
+
+The trace is walked in one place: `ProtocolTrace.chunks` yields its JSON
+lines TRACE_CHUNK events at a time. The digest, the export and the CLI's
+trace file read those chunks, so the digest and the trace file never
+hold all of a trace's lines in memory at once.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ScenarioError, StepBudgetExceeded, WireError
 from .wire import Channel, Envelope, Header, decode_fields, peek_header
@@ -38,13 +44,19 @@ from .wire import Channel, Envelope, Header, decode_fields, peek_header
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
 _CHANNEL_NAMES = {channel: channel.name for channel in Channel}
 DEFAULT_STEP_BUDGET = 10_000
+TRACE_CHUNK = 512  # trace events per chunk of exported lines
 
 
 Fields = Tuple[Tuple[int, bytes], ...]  # body fields in tag order
+Tags = Tuple[int, ...]  # body tags in order
 
 
 def digest16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _tags(fields: Union[Fields, WireError]) -> Optional[Tags]:
+    return None if isinstance(fields, WireError) else tuple([tag for tag, _ in fields])
 
 
 def _describe(data: bytes) -> Tuple[Header, Union[Fields, WireError], str]:
@@ -104,11 +116,22 @@ class ProtocolTrace:
     def record(self, event: TraceEvent) -> None:
         self.events.append(event)
 
+    def chunks(self) -> Iterator[str]:
+        """The JSON lines of the events recorded so far, TRACE_CHUNK
+        events to a chunk, in order."""
+        events = self.events
+        for start in range(0, len(events), TRACE_CHUNK):
+            yield "".join(map(_json_line, events[start:start + TRACE_CHUNK]))
+
     def export_jsonl(self) -> str:
-        return "".join(map(_json_line, self.events))
+        return "".join(self.chunks())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.export_jsonl().encode("utf-8")).hexdigest()
+        """SHA-256 of the exported JSON lines, read one chunk at a time."""
+        sha = hashlib.sha256()
+        for chunk in self.chunks():
+            sha.update(chunk.encode("utf-8"))
+        return sha.hexdigest()
 
     def find(self, kind: Optional[str] = None, msg_type: Optional[str] = None,
              note: Optional[str] = None) -> List[TraceEvent]:
@@ -129,8 +152,9 @@ class WireRecord(NamedTuple):
 
     `seq` is the trace sequence number of the matching send event, so a
     finding against these bytes can cite a line in the exported trace.
-    `fields` are the body fields of `data` in tag order, the tuple its
-    description carried, or None when the body does not decode.
+    `tags` are the body tags of `data` in order, taken from the fields its
+    description carried, or None when the body does not decode. The field
+    values stay in `data` only.
     """
 
     seq: int
@@ -140,7 +164,7 @@ class WireRecord(NamedTuple):
     receiver: str
     msg_type: str
     data: bytes
-    fields: Optional[Fields]
+    tags: Optional[Tags]
 
 
 # -- adversary --------------------------------------------------------------
@@ -342,7 +366,7 @@ class Simulation:
                            msg_type, header.request_id or None, digest)
         self.wire_log.append(WireRecord(
             seq, self.now, channel, header.sender, header.receiver, msg_type,
-            data, None if isinstance(fields, WireError) else fields))
+            data, _tags(fields)))
 
         dropped = False
         for rule in self.adversary.rules:
@@ -361,8 +385,7 @@ class Simulation:
                 # The corrupted bytes are what actually crosses the wire.
                 self.wire_log.append(WireRecord(
                     seq, self.now, header.channel, header.sender, header.receiver,
-                    header.msg_type, data, None if isinstance(fields, WireError) else fields,
-                ))
+                    header.msg_type, data, _tags(fields)))
             elif isinstance(action, Replay):
                 for i in range(action.copies):
                     self._push(self.now + action.delay * (i + 1), "send",

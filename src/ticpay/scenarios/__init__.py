@@ -32,8 +32,8 @@ from ..checks import (
     merchant_blindness_check,
     total_funds,
 )
-from ..client_agent import ClientAgent
-from ..crypto import _CIPHERS, Pin
+from ..client_agent import DEFAULT_REPLY_POLICY, ClientAgent
+from ..crypto import _CIPHERS, DEFAULT_CIPHER, Pin
 from ..errors import ScenarioError, StepBudgetExceeded
 from ..netsim import (
     DEFAULT_STEP_BUDGET,
@@ -45,7 +45,13 @@ from ..netsim import (
     Tamper,
 )
 from ..payment import PaymentOrder, PayMode
-from ..two_way import MerchantAgent, MerchantBank, TwoWayGateway
+from ..two_way import (
+    DEFAULT_CERT_VALID_UNTIL,
+    DEFAULT_MERCHANT_BALANCE,
+    MerchantAgent,
+    MerchantBank,
+    TwoWayGateway,
+)
 from ..wire import Channel
 
 SCHEMA_VERSION = 1
@@ -259,7 +265,7 @@ def _parse_client(r: _Reader, flow: str) -> ClientSpec:
         balance=r.get("balance", int),
         vault_password=r.get("vault_password", str),
         tic_batch=r.get("tic_batch", int),
-        reply=_reply_policy(r.get("reply", None, "yes"), f"{r.path}.reply"),
+        reply=_reply_policy(r.get("reply", None, DEFAULT_REPLY_POLICY), f"{r.path}.reply"),
         mode=(r.pay_mode() if flow == "two-way" else PayMode.ELECTRONIC_TRANSFER).label,
         payments=payments,
     )
@@ -270,9 +276,9 @@ def _parse_merchant(r: _Reader) -> MerchantSpec:
         merchant_id=r.get("id", str),
         display_name=r.get("display_name", str),
         account_id=r.account_id("account_id"),
-        balance=r.get("balance", int, 0),
+        balance=r.get("balance", int, DEFAULT_MERCHANT_BALANCE),
         price=r.get("price", int),
-        cert_valid_until=r.get("cert_valid_until", int, 10**9),
+        cert_valid_until=r.get("cert_valid_until", int, DEFAULT_CERT_VALID_UNTIL),
     )
 
 
@@ -363,7 +369,7 @@ def parse_spec(raw: dict, source: str = "scenario") -> ScenarioSpec:
                                 f"got {len(clients)}")
 
     checks = parse_checks(doc.get("checks", list, KNOWN_CHECKS), f"{source}.checks")
-    cipher = doc.get("cipher", str, "aes-gcm")
+    cipher = doc.get("cipher", str, DEFAULT_CIPHER)
     if cipher not in _CIPHERS:
         raise ScenarioError(f"{source}.cipher: expected one of {sorted(_CIPHERS)}, "
                             f"got {cipher!r}")
@@ -548,14 +554,15 @@ def _eval_expectations(world: World) -> List[CheckResult]:
         got = world.clients[0].outcomes
         results.append(CheckResult(
             "expect-outcomes", got == want, f"expected {want}, got {got}"))
-    notes = _note_text(world)
-    for needle in expect.notes:
-        results.append(CheckResult(
-            "expect-note", needle in notes, f"note contains {needle!r}"))
-    for needle in expect.absent_notes:
-        results.append(CheckResult(
-            "expect-absent-note", needle not in notes,
-            f"note absent {needle!r}"))
+    if expect.notes or expect.absent_notes:
+        notes = _note_text(world)
+        for needle in expect.notes:
+            results.append(CheckResult(
+                "expect-note", needle in notes, f"note contains {needle!r}"))
+        for needle in expect.absent_notes:
+            results.append(CheckResult(
+                "expect-absent-note", needle not in notes,
+                f"note absent {needle!r}"))
     if expect.absent_msg_types:
         delivered = {e.msg_type for e in world.sim.trace.events
                      if e.kind == "deliver"}

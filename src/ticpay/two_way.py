@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from .auth_server import PendingTransaction
-from .crypto import CryptoSuite, derive_shared_key
+from .crypto import DEFAULT_CIPHER, CryptoSuite, derive_shared_key
 from .errors import IntegrityFailure, NoCertificate, WireError
 from .netsim import Actor, Ctx, digest16
 from .rng import DeterministicRng
@@ -34,6 +34,8 @@ from .wire import Channel, Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
 
 SIGNATURE_LEN = 32
 AUTH_DEADLINE = 60  # seconds the customer bank waits for a merchant verdict
+DEFAULT_MERCHANT_BALANCE = 0
+DEFAULT_CERT_VALID_UNTIL = 10**9
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class MerchantBank(Actor):
     """Issues merchant certificates, verifies them, and books settlements."""
 
     def __init__(self, name: str = "mbank", seed: int | str | bytes = 0,
-                 cipher: str = "aes-gcm"):
+                 cipher: str = DEFAULT_CIPHER):
         self.name = name
         self._rng = DeterministicRng(seed, f"mbank|{name}")
         self._cert_key = self._rng.child("cert-key").take(32)
@@ -136,9 +138,9 @@ class MerchantBank(Actor):
         merchant_id: str,
         account_id: str,
         display_name: str,
-        balance: int = 0,
+        balance: int = DEFAULT_MERCHANT_BALANCE,
         valid_from: int = 0,
-        valid_until: int = 10**9,
+        valid_until: int = DEFAULT_CERT_VALID_UNTIL,
     ) -> MerchantRecord:
         if merchant_id in self.merchants:
             raise ValueError(f"merchant {merchant_id!r} already registered")
@@ -269,7 +271,7 @@ class MerchantAgent(Actor):
     """
 
     def __init__(self, record: MerchantRecord, bank: str, price: int,
-                 cipher: str = "aes-gcm"):
+                 cipher: str = DEFAULT_CIPHER):
         self.name = record.merchant_id
         self.record = record
         self.bank = bank

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
 
-from .crypto import _CIPHERS, KEY_LEN, CryptoSuite, NonceSequence
+from .crypto import _CIPHERS, DEFAULT_CIPHER, KEY_LEN, CryptoSuite, NonceSequence
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .tic_registry import ALPHABET_NAME, TicCode
 from .wire import Ciphertext, KeyRole, Reader, str16, u16, u32, u64
@@ -47,7 +47,7 @@ class TicVault:
         salt: bytes,
         sealed: Optional[Ciphertext],
         seal_count: int,
-        cipher: str = "aes-gcm",
+        cipher: str = DEFAULT_CIPHER,
     ):
         if len(salt) != SALT_LEN:
             raise ValueError(f"salt must be {SALT_LEN} bytes")
@@ -67,7 +67,7 @@ class TicVault:
         codes: Sequence,
         password: str,
         salt: bytes,
-        cipher: str = "aes-gcm",
+        cipher: str = DEFAULT_CIPHER,
     ) -> "TicVault":
         """Build an unlocked vault around a fresh batch (may be empty)."""
         vault = cls(bytes(salt), None, 0, cipher)  # _reseal sets the blob

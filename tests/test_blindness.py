@@ -151,11 +151,11 @@ def test_check_reads_the_carried_fields_and_parses_nothing(monkeypatch):
 def test_check_matches_the_reference_on_a_hand_made_log():
     def record(seq, data, receiver="shopzone", msg_type="checkout_request"):
         try:
-            fields = tuple(Envelope.from_bytes(data).body.items())
+            tags = tuple(Envelope.from_bytes(data).body)
         except WireError:
-            fields = None
+            tags = None
         return WireRecord(seq=seq, at=0, channel=Channel.WEB, sender="mallory",
-                          receiver=receiver, msg_type=msg_type, data=data, fields=fields)
+                          receiver=receiver, msg_type=msg_type, data=data, tags=tags)
 
     twice = envelope("checkout_request", cookie="ACC-1001|ACC-1001")
     log = [

@@ -41,7 +41,7 @@ def reference_leakage_scan(wire_log: Sequence[WireRecord],
 
 def log_of(*payloads: bytes) -> List[WireRecord]:
     return [WireRecord(seq=10 + i, at=i, channel=Channel.WEB, sender="a",
-                       receiver="b", msg_type="m", data=data, fields=None)
+                       receiver="b", msg_type="m", data=data, tags=None)
             for i, data in enumerate(payloads)]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from ticpay.errors import ScenarioError, StepBudgetExceeded, WireError
 from ticpay.netsim import (
+    TRACE_CHUNK,
     Actor,
     AdversaryScript,
     Drop,
@@ -342,3 +344,42 @@ def test_trace_lines_are_byte_identical_to_json_dumps(event):
     line = json.dumps(event.as_dict(), sort_keys=True) + "\n"
     assert trace.export_jsonl() == line * 2
     assert trace.digest() == hashlib.sha256((line * 2).encode("utf-8")).hexdigest()
+
+
+def mixed_trace(n: int) -> ProtocolTrace:
+    """`n` events of every kind the bus records; one note needs JSON escapes."""
+    kinds = ["send", "deliver", "drop", "tamper", "replay", "inject", "reject-parse",
+             "timer", "note"]
+    trace = ProtocolTrace()
+    for seq in range(1, n + 1):
+        kind = kinds[seq % len(kinds)]
+        note = 'tab\t "quote" back\\slash é \ud800' if seq == n // 2 + 1 else None
+        if kind == "note" and note is None:
+            note = f"note {seq}"
+        trace.record(TraceEvent(
+            seq, seq // 3, kind, channel="WEB" if kind != "note" else None,
+            sender=f"actor-{seq % 5}", receiver="bank" if kind != "timer" else None,
+            msg_type=None if kind in ("note", "timer") else "login_request",
+            body_digest=f"{seq:016x}" if kind != "note" else None, note=note))
+    return trace
+
+
+@pytest.mark.parametrize("n", [0, 1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1,
+                               2 * TRACE_CHUNK + 1])
+def test_chunked_export_and_digest_match_json_dumps_at_chunk_edges(n):
+    trace = mixed_trace(n)
+    text = "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in trace.events)
+    assert trace.export_jsonl() == text
+    assert trace.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert len(list(trace.chunks())) == -(-n // TRACE_CHUNK)
+
+
+def test_digest_reads_the_trace_without_holding_all_its_lines():
+    trace = mixed_trace(20_000)
+    tracemalloc.start()
+    try:
+        trace.digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"digest peaked at {peak} bytes"

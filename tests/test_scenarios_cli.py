@@ -489,6 +489,14 @@ def test_cli_writes_trace_and_report_files(tmp_path):
     assert "result: PASS" in report_path.read_text()
 
 
+def test_cli_trace_file_is_the_export_of_the_same_run(tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    result = invoke("run", "happy-twoway", "--trace-out", str(trace_path))
+    assert result.exit_code == 0, result.output
+    report = run_spec(load_spec(find_bundled("happy-twoway")))
+    assert trace_path.read_bytes() == report.world.sim.trace.export_jsonl().encode("utf-8")
+
+
 def test_cli_trace_is_seed_reproducible(tmp_path):
     out = []
     for run_dir in ("a", "b"):

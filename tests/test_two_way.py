@@ -282,7 +282,7 @@ def make_record(env, seq=1):
     return WireRecord(
         seq=seq, at=0, channel=env.channel, sender=env.sender,
         receiver=env.receiver, msg_type=env.msg_type, data=env.to_bytes(),
-        fields=tuple(sorted(env.body.items())),
+        tags=tuple(sorted(env.body)),
     )
 
 
