@@ -14,8 +14,6 @@ bit for bit.
 
 from .auth_server import BankActor, BankServer, Phase, generic_denial_body
 from .checks import (
-    ONE_WAY_TEMPLATE,
-    TWO_WAY_TEMPLATE,
     collect_secrets,
     conformance_check,
     leakage_scan,
@@ -45,6 +43,7 @@ from .netsim import (
     Tamper,
 )
 from .payment import PaymentOrder, PayMode
+from .protocol import ONE_WAY_TEMPLATE, PROTOCOL, TWO_WAY_TEMPLATE
 from .rng import DeterministicRng
 from .scenarios import ScenarioSpec, build_world, list_bundled, load_spec, run_spec
 from .tic_registry import TicBatch, TicRegistry, VerifyResult
@@ -71,6 +70,7 @@ __all__ = [
     "MerchantCertificate",
     "NoCertificate",
     "ONE_WAY_TEMPLATE",
+    "PROTOCOL",
     "PayMode",
     "PaymentOrder",
     "Phase",

@@ -500,13 +500,10 @@ class BankActor(Actor):
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
         handler = self._handlers.get(env.msg_type)
-        if handler is not None:
-            handler(ctx, env)
+        if handler is None:
+            ctx.note(f"ignored msg_type={env.msg_type}")
             return
-        if self.gateway is not None and self.gateway.handles(env.msg_type):
-            self.gateway.on_message(ctx, env)
-            return
-        ctx.note(f"ignored msg_type={env.msg_type}")
+        handler(ctx, env)
 
     def on_malformed(self, ctx: Ctx, header: Header) -> None:
         # A submission that does not even parse gets the same opaque denial

@@ -13,63 +13,15 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .netsim import ProtocolTrace, WireRecord
-from .wire import F
-
-# Delivered msg_type order of a clean single-payment run, client and bank
-# only. Step markers: provisioning and login are the entry stairs, then
-# mode, submit, the SMS exchange, and the final result.
-ONE_WAY_TEMPLATE = [
-    "tic_provision",
-    "login_request",
-    "login_response",
-    "mode_select",
-    "mode_ack",
-    "payment_submit",
-    "submit_ack",
-    "sms_challenge",
-    "sms_reply",
-    "txn_result",
-]
-
-# The merchant flow wraps the same payment: checkout and invoice first,
-# then merchant verification through both banks, then the one-way steps
-# as the inner payment, then settlement fan-out and confirmation.
-TWO_WAY_TEMPLATE = [
-    "tic_provision",
-    "login_request",
-    "login_response",
-    "checkout_request",
-    "invoice",
-    "merchant_auth_request",
-    "merchant_auth_forward",
-    "merchant_auth_verdict",
-    "merchant_auth_ack",
-    "mode_select",
-    "mode_ack",
-    "payment_submit",
-    "submit_ack",
-    "sms_challenge",
-    "sms_reply",
-    "txn_result",
-    "payment_notice",
-    "settle_notice",
-    "payment_confirmation",
-]
-
-TEMPLATES = {"one-way": ONE_WAY_TEMPLATE, "two-way": TWO_WAY_TEMPLATE}
+from .netsim import ProtocolTrace, TraceEvent, WireRecord
+from .protocol import MERCHANT, received_by
 
 # Message types a merchant agent may legitimately receive, with the body
 # fields each may carry. Anything else reaching a merchant is a breach.
-MERCHANT_SCHEMAS = {
-    "checkout_request": frozenset(),
-    "payment_confirmation": frozenset(
-        {int(F.INVOICE_NUMBER), int(F.AMOUNT), int(F.CUSTOMER_REF)}
-    ),
-}
+MERCHANT_SCHEMAS = received_by(MERCHANT)
 
 
 # Shorter secrets match random ciphertext bytes often enough to raise
@@ -157,39 +109,79 @@ def leakage_scan(wire_log: Sequence[WireRecord],
 
 @dataclass(frozen=True)
 class ConformanceResult:
+    """The verdict, and on failure the divergence with the lowest seq."""
+
     ok: bool
-    step: Optional[int] = None       # first divergent step, 0-based
+    client: Optional[str] = None     # None on failure: a delivery no client owns
+    step: Optional[int] = None       # the client's first divergent step, 0-based
     expected: Optional[str] = None
     got: Optional[str] = None
     seq: Optional[int] = None        # trace seq where the run diverged
+    diverged: int = 0                # clients whose deliveries diverged
+    clients: int = 0                 # clients checked
 
     def describe(self) -> str:
         if self.ok:
             return "conformance: pass"
-        return (f"conformance: diverged at step {self.step}: "
-                f"expected {self.expected!r}, got {self.got!r} seq={self.seq}")
+        if self.client is None:
+            where = f"delivery {self.got!r} belongs to no client seq={self.seq}"
+        else:
+            where = (f"client {self.client!r} diverged at step {self.step}: "
+                     f"expected {self.expected!r}, got {self.got!r} seq={self.seq}")
+        return f"conformance: {where}; {self.diverged} of {self.clients} clients diverged"
 
 
-def conformance_check(trace: ProtocolTrace, template: Sequence[str]) -> ConformanceResult:
-    """Compare delivered msg_types, in order, against a template.
+def conformance_check(trace: ProtocolTrace, template: Sequence[str],
+                      clients: Sequence[str]) -> ConformanceResult:
+    """Compare each client's delivered msg_types, in order, against a template.
 
-    The whole run must match, extra traffic included. A divergence names
-    the ``seq`` of the divergent delivery or, when the deliveries run out
-    first, of the run's last event (0 for an empty trace).
+    A delivery belongs to the client that receives or sends it, else to the
+    client whose ``request_id`` it carries; a request id belongs to the
+    client whose delivery carried it first. Each client's deliveries must
+    match the template, extra traffic included, and a delivery that no
+    client owns is a divergence. A client diverges at the ``seq`` of its
+    first divergent delivery or, when its deliveries run out first, of the
+    run's last event (0 for an empty trace). The result names the
+    divergence with the lowest ``seq`` and counts the clients that diverged.
     """
-    delivered = [e for e in trace.events if e.kind == "deliver"]
-    for i, expected in enumerate(template):
-        if i >= len(delivered):
-            return ConformanceResult(ok=False, step=i, expected=expected, got=None,
-                                     seq=trace.events[-1].seq if trace.events else 0)
-        if delivered[i].msg_type != expected:
-            return ConformanceResult(ok=False, step=i, expected=expected,
-                                     got=delivered[i].msg_type, seq=delivered[i].seq)
-    if len(delivered) > len(template):
-        extra = delivered[len(template)]
-        return ConformanceResult(ok=False, step=len(template), expected=None,
-                                 got=extra.msg_type, seq=extra.seq)
-    return ConformanceResult(ok=True)
+    matched: Dict[str, int] = dict.fromkeys(clients, 0)  # client -> steps matched
+    owners: Dict[str, str] = {}  # request id -> client
+    divergences: Dict[Optional[str], ConformanceResult] = {}  # None: unowned
+    for event in trace.events:
+        if event.kind != "deliver":
+            continue
+        request_id = event.request_id
+        owner = (event.receiver if event.receiver in matched
+                 else event.sender if event.sender in matched else None)
+        if owner is not None:
+            if request_id is not None:
+                owners.setdefault(request_id, owner)
+        elif request_id is not None:
+            owner = owners.get(request_id)
+        if owner is None:
+            if None not in divergences:
+                divergences[None] = ConformanceResult(ok=False, got=event.msg_type,
+                                                      seq=event.seq)
+        elif owner not in divergences:
+            step = matched[owner]
+            if step < len(template) and event.msg_type == template[step]:
+                matched[owner] = step + 1
+            else:
+                divergences[owner] = ConformanceResult(
+                    ok=False, client=owner, step=step,
+                    expected=template[step] if step < len(template) else None,
+                    got=event.msg_type, seq=event.seq)
+
+    last_seq = trace.events[-1].seq if trace.events else 0
+    for name, step in matched.items():
+        if name not in divergences and step < len(template):
+            divergences[name] = ConformanceResult(ok=False, client=name, step=step,
+                                                  expected=template[step], seq=last_seq)
+    if not divergences:
+        return ConformanceResult(ok=True, clients=len(matched))
+    first = min(divergences.values(), key=lambda d: d.seq)
+    return replace(first, diverged=len(divergences) - (None in divergences),
+                   clients=len(matched))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,11 @@ class ClientAgent(Actor):
     # -- handlers --------------------------------------------------------------------
 
     def _on_provision(self, ctx: Ctx, env: Envelope) -> None:
+        if self.vault is not None:
+            # One vault per device: a second batch (a replayed copy, say)
+            # must not restart the flow under a session already in flight.
+            ctx.note("provision-ignored cause=vault-held")
+            return
         try:
             self.vault = TicVault.from_bytes(env.body.get(int(F.VAULT), b""))
         except WireError as exc:

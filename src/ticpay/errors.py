@@ -51,5 +51,14 @@ class StepBudgetExceeded(TicpayError):
     """Scenario did not reach quiescence within the step budget (livelock)."""
 
 
+class ActorFault(TicpayError):
+    """An actor's handler raised: names the actor, the exception type, and
+    the trace seq of the event being handled (0 for the opening move)."""
+
+    def __init__(self, actor: str, error: Exception, seq: int):
+        super().__init__(f"{actor} raised {type(error).__name__} handling seq={seq}: "
+                         f"{error}")
+
+
 class ScenarioError(TicpayError):
     """Scenario file failed to parse or validate; message names the field."""

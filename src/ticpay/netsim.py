@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import ScenarioError, StepBudgetExceeded, WireError
+from .errors import ActorFault, ScenarioError, StepBudgetExceeded, WireError
 from .wire import Channel, Envelope, Header, decode_fields, peek_header
 
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
@@ -419,10 +419,13 @@ class Simulation:
             return
         ctx = self._ctxs[actor.name]
         if isinstance(fields, WireError):
-            self._record("reject-parse", channel=header.channel.name,
-                         sender=header.sender, receiver=header.receiver,
-                         msg_type=header.msg_type, note=str(fields))
-            actor.on_malformed(ctx, header)
+            seq = self._record("reject-parse", channel=header.channel.name,
+                               sender=header.sender, receiver=header.receiver,
+                               msg_type=header.msg_type, note=str(fields))
+            try:
+                actor.on_malformed(ctx, header)
+            except Exception as exc:
+                raise ActorFault(actor.name, exc, seq) from exc
             return
         env = Envelope(header.sender, header.receiver, header.channel, header.msg_type,
                        dict(fields), header.cookie, header.request_id)
@@ -430,7 +433,10 @@ class Simulation:
                                header.receiver, header.msg_type,
                                header.request_id or None, digest)
         env.delivered_at = self.now
-        actor.on_message(ctx, env)
+        try:
+            actor.on_message(ctx, env)
+        except Exception as exc:
+            raise ActorFault(actor.name, exc, env.seq) from exc
 
     # -- main loop ---------------------------------------------------------
 
@@ -446,10 +452,14 @@ class Simulation:
         for at, payload in sorted(injections, key=lambda p: p[0]):
             self._push(max(at, self.now), "inject", payload)
         for name in self._order:
-            self._actors[name].on_start(self._ctxs[name])
+            try:
+                self._actors[name].on_start(self._ctxs[name])
+            except Exception as exc:
+                raise ActorFault(name, exc, 0) from exc
 
     def run(self) -> None:
-        """Drain the heap to quiescence; raises if the step budget is exceeded."""
+        """Drain the heap to quiescence; raises StepBudgetExceeded if the
+        step budget is exceeded, and ActorFault if a handler raises."""
         while self._heap:
             self._steps += 1
             if self._steps > self.step_budget:
@@ -469,9 +479,12 @@ class Simulation:
                 if token in self._cancelled:
                     continue
                 actor = self._actors.get(actor_name)
-                self._record("timer", receiver=actor_name, note=label)
+                seq = self._record("timer", receiver=actor_name, note=label)
                 if actor is not None:
-                    actor.on_timer(self._ctxs[actor_name], label)
+                    try:
+                        actor.on_timer(self._ctxs[actor_name], label)
+                    except Exception as exc:
+                        raise ActorFault(actor_name, exc, seq) from exc
             if self.after_event is not None:
                 self.after_event(self)
 

@@ -24,8 +24,6 @@ import yaml
 from ..auth_server import DEFAULT_SMS_DEADLINE, BankActor, BankServer
 from ..checks import (
     MIN_SECRET_LEN,
-    TEMPLATES,
-    TWO_WAY_TEMPLATE,
     collect_secrets,
     conformance_check,
     leakage_scan,
@@ -34,7 +32,7 @@ from ..checks import (
 )
 from ..client_agent import DEFAULT_REPLY_POLICY, ClientAgent
 from ..crypto import _CIPHERS, DEFAULT_CIPHER, Pin
-from ..errors import ScenarioError, StepBudgetExceeded
+from ..errors import ActorFault, ScenarioError, StepBudgetExceeded
 from ..netsim import (
     DEFAULT_STEP_BUDGET,
     AdversaryScript,
@@ -45,6 +43,7 @@ from ..netsim import (
     Tamper,
 )
 from ..payment import PaymentOrder, PayMode
+from ..protocol import MSG_TYPES, TEMPLATES
 from ..two_way import (
     DEFAULT_CERT_VALID_UNTIL,
     DEFAULT_MERCHANT_BALANCE,
@@ -57,7 +56,6 @@ from ..wire import Channel
 SCHEMA_VERSION = 1
 KNOWN_CHECKS = ("conformance", "leakage", "conservation", "blindness")
 CHANNELS = {"web": Channel.WEB, "sms": Channel.SMS, "interbank": Channel.INTERBANK}
-MSG_TYPES = frozenset(TWO_WAY_TEMPLATE)  # every type the protocol sends
 
 
 # -- validation helpers --------------------------------------------------------
@@ -578,7 +576,8 @@ def _eval_checks(world: World, conservation_violations: List[str]) -> List[Check
     results = []
     for name in spec.checks:
         if name == "conformance":
-            outcome = conformance_check(world.sim.trace, TEMPLATES[spec.flow])
+            outcome = conformance_check(world.sim.trace, TEMPLATES[spec.flow],
+                                        [client.name for client in world.clients])
             results.append(CheckResult("conformance", outcome.ok, outcome.describe()))
         elif name == "leakage":
             findings = leakage_scan(world.sim.wire_log, world.secrets())
@@ -647,6 +646,9 @@ def run_spec(spec: ScenarioSpec) -> RunReport:
         world.sim.run_to_quiescence()
     except StepBudgetExceeded as exc:
         results.append(CheckResult("step-budget", False, str(exc)))
+    except ActorFault as exc:
+        # The world stops where the fault left it; the checks still read it.
+        results.append(CheckResult("actor-fault", False, str(exc)))
     results.extend(_eval_expectations(world))
     results.extend(_eval_checks(world, violations))
     return RunReport(scenario=spec.name, seed=spec.seed, results=results, world=world)

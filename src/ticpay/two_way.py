@@ -29,6 +29,7 @@ from .auth_server import PendingTransaction
 from .crypto import DEFAULT_CIPHER, CryptoSuite, derive_shared_key
 from .errors import IntegrityFailure, NoCertificate, WireError
 from .netsim import Actor, Ctx, digest16
+from .protocol import BANK, received_by
 from .rng import DeterministicRng
 from .wire import Channel, Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
 
@@ -139,7 +140,6 @@ class MerchantBank(Actor):
         account_id: str,
         display_name: str,
         balance: int = DEFAULT_MERCHANT_BALANCE,
-        valid_from: int = 0,
         valid_until: int = DEFAULT_CERT_VALID_UNTIL,
     ) -> MerchantRecord:
         if merchant_id in self.merchants:
@@ -153,7 +153,7 @@ class MerchantBank(Actor):
         self.merchants[merchant_id] = record
         self.balances[account_id] = balance
         self.ledger_version += 1
-        record.certificate = self.issue_certificate(merchant_id, valid_from, valid_until)
+        record.certificate = self.issue_certificate(merchant_id, 0, valid_until)
         return record
 
     def _sign(self, cert: MerchantCertificate) -> bytes:
@@ -334,14 +334,14 @@ class _RequestState:
 class TwoWayGateway:
     """Customer-bank side of merchant verification and settlement.
 
-    Attached to a BankActor; it owns the merchant-auth message types and
-    the post-commit settlement fan-out, and it answers the server's
-    payment gate: a request may pay only after a recorded positive
-    verdict — retries always re-verify, nothing is cached across
-    requests.
+    Attached to a BankActor; it answers the message types that only the
+    two-way flow sends the customer bank, owns the post-commit settlement
+    fan-out, and answers the server's payment gate: a request may pay only
+    after a recorded positive verdict — retries always re-verify, nothing
+    is cached across requests.
     """
 
-    HANDLED = frozenset({"merchant_auth_request", "merchant_auth_verdict"})
+    HANDLED = frozenset(received_by(BANK, two_way_only=True))
 
     def __init__(self, bank_actor, known_banks: Optional[set] = None):
         self.bank_actor = bank_actor
@@ -350,14 +350,12 @@ class TwoWayGateway:
         self.requests: Dict[str, _RequestState] = {}
         self._notice_counter = 0
         bank_actor.gateway = self
+        bank_actor._handlers.update(dict.fromkeys(self.HANDLED, self.on_message))
         self.server.payment_gate = self.allows
 
     def allows(self, request_id: str) -> bool:
         state = self.requests.get(request_id)
         return state is not None and state.verdict is not None and state.verdict.positive
-
-    def handles(self, msg_type: str) -> bool:
-        return msg_type in self.HANDLED
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
         if env.msg_type == "merchant_auth_request":

@@ -59,7 +59,6 @@ class F(IntEnum):
     REASON = 0x0002
     USERNAME = 0x0003
     PASSWORD = 0x0004
-    COOKIE = 0x0005
     WRAPPED_KEY = 0x0006
     WELCOME = 0x0007
     MODE = 0x0008
@@ -79,7 +78,6 @@ class F(IntEnum):
     VERDICT = 0x0016
     CUSTOMER_REF = 0x0017
     NOTICE_ID = 0x0018
-    CART_TOTAL = 0x0019
     CELL = 0x001A
 
 

@@ -14,8 +14,6 @@ from types import SimpleNamespace
 
 from ticpay.auth_server import BankActor, BankServer, TxnState
 from ticpay.checks import (
-    ONE_WAY_TEMPLATE,
-    TWO_WAY_TEMPLATE,
     conformance_check,
     leakage_scan,
     merchant_blindness_check,
@@ -26,6 +24,7 @@ from ticpay.crypto import CryptoSuite, Pin, SecretKey
 from ticpay.errors import IntegrityFailure, WireError
 from ticpay.netsim import AdversaryScript, Drop, Replay, Rule, Simulation
 from ticpay.payment import PayMode, PaymentOrder
+from ticpay.protocol import ONE_WAY_TEMPLATE, TWO_WAY_TEMPLATE
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec
 from ticpay.tic_registry import ALPHABET
 from ticpay.two_way import MerchantAgent, MerchantBank, TwoWayGateway
@@ -533,7 +532,8 @@ def test_happy_paths_match_their_templates_byte_reproducibly():
         exports = []
         for _ in range(2):
             world = run_bundled(name)
-            outcome = conformance_check(world.sim.trace, template)
+            outcome = conformance_check(world.sim.trace, template,
+                                        [client.name for client in world.clients])
             if not outcome.ok:
                 divergences.append(f"{name}: {outcome.describe()}")
             exports.append(world.sim.trace.export_jsonl())

@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ticpay.checks import ONE_WAY_TEMPLATE, conformance_check, leakage_scan
+from ticpay.checks import conformance_check, leakage_scan
 from ticpay.cli import main
+from ticpay.client_agent import ClientAgent
 from ticpay.errors import ScenarioError
-from ticpay.netsim import ProtocolTrace, TraceEvent
+from ticpay.netsim import AdversaryScript, ProtocolTrace, TraceEvent
+from ticpay.protocol import ONE_WAY_TEMPLATE
 from ticpay.scenarios import (
     MSG_TYPES,
     bundled_dir,
@@ -24,6 +26,7 @@ from ticpay.scenarios import (
     parse_spec,
     run_spec,
 )
+from ticpay.wire import Channel, Envelope, F
 
 BUNDLED = [
     "bad-merchant-cert",
@@ -363,32 +366,65 @@ def test_conformance_failure_cites_a_trace_seq():
     assert "seq=" in line.detail
 
 
-def test_conformance_names_the_seq_of_the_divergent_delivery():
-    # One template over both clients' deliveries: a two-client world fails.
-    raw = minimal_raw(checks=["conformance"])
+def two_client_raw(**overrides) -> dict:
+    raw = minimal_raw(**overrides)
     raw["clients"].append(dict(raw["clients"][0], username="bob", cell="+27-82-000-0002",
                                account_id="ACC-1002"))
-    report = run_spec(parse_spec(raw))
+    return raw
+
+
+def test_conformance_names_the_seq_of_the_divergent_delivery():
+    # Each client is checked against its own template: two clean clients pass.
+    assert run_spec(parse_spec(two_client_raw(checks=["conformance"]))).passed
+    # alice logs in first, so the first submission on the wire is hers.
+    report = run_spec(parse_spec(two_client_raw(
+        checks=["conformance"],
+        adversary={"rules": [{"action": "replay", "msg_type": "payment_submit",
+                              "nth": 1, "delay": 4}]})))
     trace = report.world.sim.trace
-    outcome = conformance_check(trace, ONE_WAY_TEMPLATE)
-    assert not outcome.ok
-    divergent = [e for e in trace.events if e.kind == "deliver"][outcome.step]
+    outcome = conformance_check(trace, ONE_WAY_TEMPLATE, ["alice", "bob"])
+    assert (outcome.ok, outcome.client, outcome.diverged, outcome.clients) == (
+        False, "alice", 1, 2)
+    alice = [e for e in trace.events
+             if e.kind == "deliver" and "alice" in (e.sender, e.receiver)]
+    divergent = alice[outcome.step]
+    assert [e.msg_type for e in alice[:outcome.step]] == ONE_WAY_TEMPLATE[:outcome.step]
     assert (outcome.seq, outcome.got) == (divergent.seq, divergent.msg_type)
     line = next(r for r in report.results if r.name == "conformance")
-    assert line.detail == (f"conformance: diverged at step {outcome.step}: expected "
-                           f"{outcome.expected!r}, got {divergent.msg_type!r} "
-                           f"seq={divergent.seq}")
+    assert line.detail == (f"conformance: client 'alice' diverged at step {outcome.step}: "
+                           f"expected {outcome.expected!r}, got {divergent.msg_type!r} "
+                           f"seq={divergent.seq}; 1 of 2 clients diverged")
 
 
 def test_conformance_names_the_last_event_when_deliveries_run_out():
     trace = ProtocolTrace()
-    assert conformance_check(trace, ["a"]).seq == 0
-    trace.record(TraceEvent(1, 0, "send", msg_type="a"))
-    trace.record(TraceEvent(2, 1, "deliver", msg_type="a"))
+    assert conformance_check(trace, ["a"], ["alice"]).seq == 0
+    trace.record(TraceEvent(1, 0, "send", sender="alice", receiver="bank", msg_type="a"))
+    trace.record(TraceEvent(2, 1, "deliver", sender="alice", receiver="bank", msg_type="a"))
     trace.record(TraceEvent(3, 1, "note", note="done"))
-    outcome = conformance_check(trace, ["a", "b"])
-    assert (outcome.step, outcome.expected, outcome.got, outcome.seq) == (1, "b", None, 3)
-    assert conformance_check(trace, ["a"]).ok
+    outcome = conformance_check(trace, ["a", "b"], ["alice"])
+    assert (outcome.client, outcome.step, outcome.expected, outcome.got, outcome.seq) == (
+        "alice", 1, "b", None, 3)
+    assert conformance_check(trace, ["a"], ["alice"]).ok
+
+
+def test_conformance_fails_on_a_delivery_no_client_owns():
+    # An injection from a sender no client is, carrying no request id that a
+    # client's traffic introduced, belongs to nobody.
+    forged = Envelope(sender="mallory", receiver="cbank", channel=Channel.SMS,
+                      msg_type="sms_reply", body={int(F.TXN_ID): b"T0009",
+                                                  int(F.DECISION): b"YES"})
+    spec = replace(parse_spec(minimal_raw(checks=["conformance"])),
+                   adversary=AdversaryScript(injections=((1, forged.to_bytes()),)))
+    report = run_spec(spec)
+    trace = report.world.sim.trace
+    delivery = next(e for e in trace.events if e.kind == "deliver" and e.sender == "mallory")
+    outcome = conformance_check(trace, ONE_WAY_TEMPLATE, ["alice"])
+    assert (outcome.ok, outcome.client, outcome.got, outcome.seq, outcome.diverged) == (
+        False, None, "sms_reply", delivery.seq, 0)
+    line = next(r for r in report.results if r.name == "conformance")
+    assert line.detail == (f"conformance: delivery 'sms_reply' belongs to no client "
+                           f"seq={delivery.seq}; 0 of 1 clients diverged")
 
 
 def test_null_cipher_flips_the_leakage_check_into_a_control():
@@ -529,3 +565,25 @@ def test_cli_verbose_prints_events():
     result = invoke("run", "happy-oneway", "-v")
     assert result.exit_code == 0
     assert '"kind": "deliver"' in result.output or "'kind': 'deliver'" in result.output
+
+
+def test_a_raising_handler_is_a_failing_verdict_with_its_artifacts(tmp_path, monkeypatch):
+    def boom(self, ctx, env):
+        raise RuntimeError("boom")
+
+    # Handlers are bound when the agent is built, so patch the class first.
+    monkeypatch.setattr(ClientAgent, "_on_txn_result", boom)
+    report = run_spec(load_spec(find_bundled("happy-oneway")))
+    result = next(r for r in report.results if r.name == "actor-fault")
+    last = next(e for e in reversed(report.world.sim.trace.events) if e.kind == "deliver")
+    assert last.msg_type == "txn_result"
+    assert not result.passed and not report.passed
+    assert result.detail == f"alice raised RuntimeError handling seq={last.seq}: boom"
+
+    trace_path = tmp_path / "trace.jsonl"
+    report_path = tmp_path / "report.txt"
+    cli = invoke("run", "happy-oneway", "--trace-out", str(trace_path),
+                 "--report-out", str(report_path))
+    assert cli.exit_code == 1
+    assert "check actor-fault: FAIL (alice raised RuntimeError" in report_path.read_text()
+    assert trace_path.read_bytes() == report.world.sim.trace.export_jsonl().encode("utf-8")
