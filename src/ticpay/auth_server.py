@@ -23,13 +23,14 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin, SecretKey
-from .errors import IntegrityFailure, RoleMismatch, WireError
+from .errors import IntegrityFailure, WireError
 from .netsim import Actor, Ctx, digest16
 from .payment import PayMode, PaymentOrder
+from .protocol import read_text, send
 from .rng import DeterministicRng
 from .tic_registry import TicRegistry, code_digest
 from .vault import TicVault
-from .wire import Channel, Ciphertext, Envelope, F, Header
+from .wire import Ciphertext, Envelope, F, Header
 
 DEFAULT_SMS_DEADLINE = 300
 LOCKOUT_AFTER = 5  # consecutive bad passwords before an account locks
@@ -330,7 +331,7 @@ class BankServer:
         try:
             enc_tic = enc_tic if isinstance(enc_tic, Ciphertext) else Ciphertext.from_bytes(enc_tic)
             tic_value = self.suite.decrypt_tic(enc_tic, session.secret_key, cookie)
-        except (WireError, IntegrityFailure, RoleMismatch):
+        except (WireError, IntegrityFailure):
             return fail("tic-decrypt-failed")
 
         verdict = self.registry.verify_and_consume(session.account_id, tic_value)
@@ -344,7 +345,7 @@ class BankServer:
                          else Ciphertext.from_bytes(enc_order))
             order = self.suite.decrypt_payment(enc_order, tic_value, cookie)
             order.validate()
-        except (WireError, IntegrityFailure, RoleMismatch, ValueError):
+        except (WireError, IntegrityFailure, ValueError):
             return fail("order-decrypt-failed")
 
         if session.mode is not None and order.mode != session.mode:
@@ -446,13 +447,6 @@ class BankActor(Actor):
 
     # -- helpers -------------------------------------------------------------
 
-    def _reply(self, ctx: Ctx, env: Envelope, msg_type: str,
-               body: Dict[int, bytes], cookie: str = "") -> None:
-        ctx.send(Envelope(
-            sender=self.name, receiver=env.sender, channel=env.channel,
-            msg_type=msg_type, body=body, cookie=cookie, request_id=env.request_id,
-        ))
-
     def _note_phase(self, ctx: Ctx, session: Session) -> None:
         ctx.note(f"phase session={session.session_id} -> {session.phase.value}")
 
@@ -460,17 +454,12 @@ class BankActor(Actor):
                          cause: Optional[str]) -> None:
         session = self.server.sessions.get(txn.cookie)
         receiver = session.username if session else txn.cookie
-        body = {
-            int(F.STATUS): b"\x01" if committed else b"\x00",
-            int(F.TXN_ID): txn.txn_id.encode("utf-8"),
-            int(F.RESULT): b"committed" if committed else b"aborted",
-        }
-        if cause:
-            body[int(F.REASON)] = cause.encode("utf-8")
-        ctx.send(Envelope(
-            sender=self.name, receiver=receiver, channel=Channel.WEB,
-            msg_type="txn_result", body=body, request_id=txn.request_id,
-        ))
+        send(ctx, "txn_result", receiver, {
+            F.STATUS: b"\x01" if committed else b"\x00",
+            F.REASON: cause or None,
+            F.TXN_ID: txn.txn_id,
+            F.RESULT: "committed" if committed else "aborted",
+        }, request_id=txn.request_id)
         if session:
             self._note_phase(ctx, session)
 
@@ -493,10 +482,7 @@ class BankActor(Actor):
                 continue
             vault_bytes = self.server.provision_codes(username, count)
             ctx.note(f"provisioned user={username} codes={count}")
-            ctx.send(Envelope(
-                sender=self.name, receiver=username, channel=Channel.WEB,
-                msg_type="tic_provision", body={int(F.VAULT): vault_bytes},
-            ))
+            send(ctx, "tic_provision", username, {F.VAULT: vault_bytes})
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
         handler = self._handlers.get(env.msg_type)
@@ -516,11 +502,8 @@ class BankActor(Actor):
             session.advance(Phase.CLOSED)
             self._note_phase(ctx, session)
         ctx.note("submit-rejected cause=malformed-envelope")
-        ctx.send(Envelope(
-            sender=self.name, receiver=header.sender, channel=header.channel,
-            msg_type="submit_ack", body=generic_denial_body(),
-            request_id=header.request_id,
-        ))
+        send(ctx, "submit_ack", header.sender, generic_denial_body(),
+             request_id=header.request_id)
 
     def on_timer(self, ctx: Ctx, label: str) -> None:
         if label.startswith("sms-expire|"):
@@ -534,42 +517,36 @@ class BankActor(Actor):
     # -- message handlers --------------------------------------------------------
 
     def _on_login(self, ctx: Ctx, env: Envelope) -> None:
-        username = env.body.get(int(F.USERNAME), b"").decode("utf-8")
-        password = env.body.get(int(F.PASSWORD), b"").decode("utf-8")
-        result = self.server.login(username, password, now=ctx.now)
+        username = read_text(env.body, F.USERNAME)
+        result = self.server.login(username, read_text(env.body, F.PASSWORD), now=ctx.now)
         if not result.ok:
             ctx.note(f"login-rejected user={username} cause={result.reason}")
-            self._reply(ctx, env, "login_response", {
-                int(F.STATUS): b"\x00",
-                int(F.REASON): result.reason.encode("utf-8"),
-            })
+            send(ctx, "login_response", env.sender, {
+                F.STATUS: b"\x00", F.REASON: result.reason,
+            }, request_id=env.request_id)
             return
         ctx.note(f"login-ok user={username} session={result.session_id}")
         session = self.server.sessions[result.cookie]
         self._note_phase(ctx, session)
-        self._reply(ctx, env, "login_response", {
-            int(F.STATUS): b"\x01",
-            int(F.WRAPPED_KEY): result.wrapped_secret.to_bytes(),
-            int(F.WELCOME): result.welcome.encode("utf-8"),
-        }, cookie=result.cookie)
+        send(ctx, "login_response", env.sender, {
+            F.STATUS: b"\x01",
+            F.WRAPPED_KEY: result.wrapped_secret.to_bytes(),
+            F.WELCOME: result.welcome,
+        }, cookie=result.cookie, request_id=env.request_id)
 
     def _on_mode_select(self, ctx: Ctx, env: Envelope) -> None:
-        mode_name = env.body.get(int(F.MODE), b"").decode("utf-8")
-        result = self.server.select_mode(env.cookie, mode_name)
+        result = self.server.select_mode(env.cookie, read_text(env.body, F.MODE))
         if result.ok:
-            session = self.server.sessions[env.cookie]
-            self._note_phase(ctx, session)
-            self._reply(ctx, env, "mode_ack", {int(F.STATUS): b"\x01"}, cookie=env.cookie)
+            self._note_phase(ctx, self.server.sessions[env.cookie])
         else:
             ctx.note(f"mode-rejected cause={result.reason}")
-            self._reply(ctx, env, "mode_ack", {
-                int(F.STATUS): b"\x00",
-                int(F.REASON): result.reason.encode("utf-8"),
-            }, cookie=env.cookie)
+        send(ctx, "mode_ack", env.sender, {
+            F.STATUS: b"\x01" if result.ok else b"\x00", F.REASON: result.reason,
+        }, cookie=env.cookie, request_id=env.request_id)
 
     def _on_submit(self, ctx: Ctx, env: Envelope) -> None:
-        enc_tic = env.body.get(int(F.ENC_TIC), b"")
-        enc_order = env.body.get(int(F.ENC_ORDER), b"")
+        enc_tic = env.body.get(F.ENC_TIC, b"")
+        enc_order = env.body.get(F.ENC_ORDER, b"")
         result = self.server.submit_payment(
             env.cookie, enc_tic, enc_order, now=ctx.now, request_id=env.request_id,
         )
@@ -578,31 +555,27 @@ class BankActor(Actor):
             ctx.note(f"submit-rejected cause={result.cause}")
             if session is not None:
                 self._note_phase(ctx, session)
-            self._reply(ctx, env, "submit_ack", generic_denial_body(), cookie=env.cookie)
+            send(ctx, "submit_ack", env.sender, generic_denial_body(),
+                 cookie=env.cookie, request_id=env.request_id)
             return
         txn = self.server.txns[result.txn_id]
         record = self.server.accounts_by_id[txn.account_id]
         ctx.note(f"submit-accepted txn={txn.txn_id} session={result.session_id} "
                  f"tic={txn.tic_digest}")
         self._note_phase(ctx, session)
-        self._reply(ctx, env, "submit_ack", {
-            int(F.STATUS): b"\x01",
-            int(F.TXN_ID): txn.txn_id.encode("utf-8"),
-        }, cookie=env.cookie)
-        ctx.send(Envelope(
-            sender=self.name, receiver=session.username, channel=Channel.SMS,
-            msg_type="sms_challenge", body={
-                int(F.TXN_ID): txn.txn_id.encode("utf-8"),
-                int(F.AMOUNT): txn.order.amount.to_bytes(8, "big"),
-                int(F.ACCOUNT_REF): digest16(txn.order.payee_account.encode()).encode(),
-                int(F.CELL): record.cell_number.encode("utf-8"),
-            }, request_id=env.request_id,
-        ))
+        send(ctx, "submit_ack", env.sender, {F.STATUS: b"\x01", F.TXN_ID: txn.txn_id},
+             cookie=env.cookie, request_id=env.request_id)
+        send(ctx, "sms_challenge", session.username, {
+            F.TXN_ID: txn.txn_id,
+            F.AMOUNT: txn.order.amount,
+            F.ACCOUNT_REF: digest16(txn.order.payee_account.encode()),
+            F.CELL: record.cell_number,
+        }, request_id=env.request_id)
         ctx.set_timer(f"sms-expire|{txn.txn_id}", delay=self.server.sms_deadline + 1)
 
     def _on_sms_reply(self, ctx: Ctx, env: Envelope) -> None:
-        txn_id = env.body.get(int(F.TXN_ID), b"").decode("utf-8")
-        decision = env.body.get(int(F.DECISION), b"").decode("utf-8")
+        txn_id = read_text(env.body, F.TXN_ID)
+        decision = read_text(env.body, F.DECISION)
         result = self.server.handle_sms_reply(txn_id, decision, now=ctx.now)
         if not result.ok:
             ctx.note(f"sms-reply-ignored txn={txn_id} cause={result.reason}")

@@ -21,9 +21,10 @@ from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
+from .protocol import read_amount, read_text, send
 from .two_way import MerchantCertificate
 from .vault import TicVault
-from .wire import Channel, Ciphertext, Envelope, F
+from .wire import Ciphertext, Envelope, F
 
 DEFAULT_REPLY_POLICY = "yes"
 
@@ -108,13 +109,7 @@ class ClientAgent(Actor):
             return
         self.session = None
         self.inflight = None
-        ctx.send(Envelope(
-            sender=self.name, receiver=self.bank, channel=Channel.WEB,
-            msg_type="login_request", body={
-                int(F.USERNAME): self.name.encode("utf-8"),
-                int(F.PASSWORD): self.password.encode("utf-8"),
-            },
-        ))
+        send(ctx, "login_request", self.bank, {F.USERNAME: self.name, F.PASSWORD: self.password})
 
     def _finish_current(self, ctx: Ctx, outcome: str) -> None:
         self.outcomes.append(outcome)
@@ -147,7 +142,7 @@ class ClientAgent(Actor):
             ctx.note("provision-ignored cause=vault-held")
             return
         try:
-            self.vault = TicVault.from_bytes(env.body.get(int(F.VAULT), b""))
+            self.vault = TicVault.from_bytes(env.body.get(F.VAULT, b""))
         except WireError as exc:
             ctx.note(f"provision-rejected cause={exc}")
             return
@@ -155,13 +150,13 @@ class ClientAgent(Actor):
         self._begin_next(ctx)
 
     def _on_login_response(self, ctx: Ctx, env: Envelope) -> None:
-        if env.body.get(int(F.STATUS)) != b"\x01":
-            reason = env.body.get(int(F.REASON), b"").decode("utf-8")
+        if env.body.get(F.STATUS) != b"\x01":
+            reason = read_text(env.body, F.REASON)
             ctx.note(f"login-failed cause={reason}")
             self._finish_current(ctx, f"login-failed:{reason}")
             return
         try:
-            wrapped = Ciphertext.from_bytes(env.body[int(F.WRAPPED_KEY)])
+            wrapped = Ciphertext.from_bytes(env.body[F.WRAPPED_KEY])
             secret_key = self.suite.unwrap_secret_key(wrapped, self.pin, env.cookie)
         except (KeyError, WireError, IntegrityFailure) as exc:
             # A PIN mismatch surfaces here: the wrap fails authentication and
@@ -174,19 +169,13 @@ class ClientAgent(Actor):
         if self.merchant is not None:
             self._request_counter += 1
             self.request_id = f"{self.name}-R{self._request_counter:03d}"
-            ctx.send(Envelope(
-                sender=self.name, receiver=self.merchant, channel=Channel.WEB,
-                msg_type="checkout_request", body={}, request_id=self.request_id,
-            ))
+            send(ctx, "checkout_request", self.merchant, request_id=self.request_id)
             return
         self._select_mode(ctx, self._queue[0].mode)
 
     def _select_mode(self, ctx: Ctx, mode: PayMode) -> None:
-        ctx.send(Envelope(
-            sender=self.name, receiver=self.bank, channel=Channel.WEB,
-            msg_type="mode_select", body={int(F.MODE): PayMode(mode).label.encode("utf-8")},
-            cookie=self.session.cookie, request_id=self.request_id,
-        ))
+        send(ctx, "mode_select", self.bank, {F.MODE: PayMode(mode).label},
+             cookie=self.session.cookie, request_id=self.request_id)
 
     def _current_order(self) -> Optional[PaymentOrder]:
         if self.merchant is not None:
@@ -201,8 +190,8 @@ class ClientAgent(Actor):
         return self._queue[0] if self._queue else None
 
     def _on_mode_ack(self, ctx: Ctx, env: Envelope) -> None:
-        if env.body.get(int(F.STATUS)) != b"\x01":
-            reason = env.body.get(int(F.REASON), b"").decode("utf-8")
+        if env.body.get(F.STATUS) != b"\x01":
+            reason = read_text(env.body, F.REASON)
             ctx.note(f"mode-rejected cause={reason}")
             self._finish_current(ctx, f"mode-rejected:{reason}")
             return
@@ -236,13 +225,9 @@ class ClientAgent(Actor):
         self.inflight = _InFlight(order=order)
         self._awaiting_ack = True
         ctx.note(f"submitted amount={order.amount}")
-        ctx.send(Envelope(
-            sender=self.name, receiver=self.bank, channel=Channel.WEB,
-            msg_type="payment_submit", body={
-                int(F.ENC_TIC): enc_tic.to_bytes(),
-                int(F.ENC_ORDER): enc_order.to_bytes(),
-            }, cookie=cookie, request_id=self.request_id,
-        ))
+        send(ctx, "payment_submit", self.bank, {
+            F.ENC_TIC: enc_tic.to_bytes(), F.ENC_ORDER: enc_order.to_bytes(),
+        }, cookie=cookie, request_id=self.request_id)
 
     def _on_submit_ack(self, ctx: Ctx, env: Envelope) -> None:
         if not self._awaiting_ack:
@@ -251,18 +236,18 @@ class ClientAgent(Actor):
             ctx.note("unexpected-submit-ack ignored")
             return
         self._awaiting_ack = False
-        if env.body.get(int(F.STATUS)) != b"\x01":
+        if env.body.get(F.STATUS) != b"\x01":
             ctx.note("submit-denied")
             self._finish_current(ctx, "submit-denied")
             return
-        txn_id = env.body.get(int(F.TXN_ID), b"").decode("utf-8")
+        txn_id = read_text(env.body, F.TXN_ID)
         if self.inflight is not None:
             self.inflight.txn_id = txn_id
         ctx.note(f"submit-accepted txn={txn_id}")
 
     def _on_sms_challenge(self, ctx: Ctx, env: Envelope) -> None:
-        txn_id = env.body.get(int(F.TXN_ID), b"").decode("utf-8")
-        amount = int.from_bytes(env.body.get(int(F.AMOUNT), b"\x00"), "big")
+        txn_id = read_text(env.body, F.TXN_ID)
+        amount = read_amount(env.body)
         flight = self.inflight
         # Only prompts matching the transaction this agent actually started
         # get an answer; amount is the cross-check because the prompt can
@@ -277,19 +262,14 @@ class ClientAgent(Actor):
             ctx.note(f"sms-unanswered txn={txn_id}")
             return
         flight.replied = True
-        decision = b"YES" if self.reply_policy == "yes" else b"NO"
-        ctx.note(f"sms-replied txn={txn_id} decision={decision.decode()}")
-        ctx.send(Envelope(
-            sender=self.name, receiver=self.bank, channel=Channel.SMS,
-            msg_type="sms_reply", body={
-                int(F.TXN_ID): txn_id.encode("utf-8"),
-                int(F.DECISION): decision,
-            }, request_id=self.request_id,
-        ), delay=self.reply_delay)
+        decision = "YES" if self.reply_policy == "yes" else "NO"
+        ctx.note(f"sms-replied txn={txn_id} decision={decision}")
+        send(ctx, "sms_reply", self.bank, {F.TXN_ID: txn_id, F.DECISION: decision},
+             request_id=self.request_id, delay=self.reply_delay)
 
     def _on_txn_result(self, ctx: Ctx, env: Envelope) -> None:
-        result = env.body.get(int(F.RESULT), b"").decode("utf-8")
-        reason = env.body.get(int(F.REASON), b"").decode("utf-8")
+        result = read_text(env.body, F.RESULT)
+        reason = read_text(env.body, F.REASON)
         ctx.note(f"result {result}" + (f" cause={reason}" if reason else ""))
         self._finish_current(ctx, result)
 
@@ -298,12 +278,12 @@ class ClientAgent(Actor):
     def _on_invoice(self, ctx: Ctx, env: Envelope) -> None:
         body = env.body
         try:
-            cert = MerchantCertificate.from_bytes(body[int(F.CERT)])
-            amount = int.from_bytes(body[int(F.AMOUNT)], "big")
-            invoice_number = body[int(F.INVOICE_NUMBER)].decode("utf-8")
-            enc_info = body[int(F.ENC_MERCHANT_INFO)]
-            if amount <= 0:
-                raise ValueError("non-positive invoice amount")
+            cert = MerchantCertificate.from_bytes(body[F.CERT])
+            enc_info = body[F.ENC_MERCHANT_INFO]
+            amount = read_amount(body)
+            invoice_number = read_text(body, F.INVOICE_NUMBER)
+            if amount <= 0 or not invoice_number:
+                raise ValueError("no invoice number or no positive amount")
         except (KeyError, ValueError, WireError) as exc:
             ctx.note(f"invoice-rejected cause={type(exc).__name__}")
             return
@@ -314,22 +294,19 @@ class ClientAgent(Actor):
             "merchant_id": cert.merchant_id,
         }
         ctx.note(f"invoice-received number={invoice_number} amount={amount}")
-        ctx.send(Envelope(
-            sender=self.name, receiver=self.bank, channel=Channel.WEB,
-            msg_type="merchant_auth_request", body={
-                int(F.CERT): body[int(F.CERT)],
-                int(F.ENC_MERCHANT_INFO): enc_info,
-                int(F.MERCHANT_ID): cert.merchant_id.encode("utf-8"),
-                int(F.MERCHANT_BANK_ID): cert.merchant_bank_id.encode("utf-8"),
-                int(F.INVOICE_NUMBER): invoice_number.encode("utf-8"),
-                int(F.AMOUNT): amount.to_bytes(8, "big"),
-            }, cookie=self.session.cookie, request_id=self.request_id,
-        ))
+        send(ctx, "merchant_auth_request", self.bank, {
+            F.CERT: body[F.CERT],
+            F.ENC_MERCHANT_INFO: enc_info,
+            F.MERCHANT_ID: cert.merchant_id,
+            F.MERCHANT_BANK_ID: cert.merchant_bank_id,
+            F.INVOICE_NUMBER: invoice_number,
+            F.AMOUNT: amount,
+        }, cookie=self.session.cookie, request_id=self.request_id)
 
     def _on_merchant_auth_ack(self, ctx: Ctx, env: Envelope) -> None:
-        verdict = env.body.get(int(F.VERDICT), b"").decode("utf-8")
+        verdict = read_text(env.body, F.VERDICT)
         if verdict != "positive":
-            reason = env.body.get(int(F.REASON), b"").decode("utf-8")
+            reason = read_text(env.body, F.REASON)
             ctx.note(f"merchant-auth-negative reason={reason or verdict}")
             self._finish_current(ctx, f"merchant-rejected:{reason or verdict}")
             return
@@ -337,6 +314,6 @@ class ClientAgent(Actor):
         self._select_mode(ctx, self.mode)
 
     def _on_payment_notice(self, ctx: Ctx, env: Envelope) -> None:
-        invoice = env.body.get(int(F.INVOICE_NUMBER), b"").decode("utf-8")
-        amount = int.from_bytes(env.body.get(int(F.AMOUNT), b"\x00"), "big")
+        invoice = read_text(env.body, F.INVOICE_NUMBER)
+        amount = read_amount(env.body)
         ctx.note(f"payment-notice invoice={invoice} amount={amount}")

@@ -20,10 +20,11 @@ class IntegrityFailure(TicpayError):
     """Authenticated decryption failed: wrong key, wrong PIN, or tampered bytes."""
 
 
-class RoleMismatch(TicpayError):
+class RoleMismatch(IntegrityFailure):
     """Ciphertext presented to an operation for a different key role.
 
-    Signals a protocol implementation bug, not an attack.
+    A tampered key-role byte gives one as surely as a misrouted
+    ciphertext does, so it fails like any other integrity check.
     """
 
 

@@ -9,13 +9,20 @@ the order in which one clean two-way payment delivers them; the one-way
 flow is the rows that are not two-way only. The conformance templates,
 the message types a scenario may name, the merchant schema and the
 customer bank's two-way handlers all derive from this table.
+
+Every actor sends through `send`, which takes the channel from the
+message type's row, and reads field values through `read_text` and
+`read_amount`: one codec writes a value and reads it back. A field that
+is absent or does not decode reads as the empty value, so a tampered
+field is handled as a missing one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Union
 
-from .wire import Channel, F
+from .netsim import Ctx
+from .wire import Channel, Envelope, F, u64
 
 # Roles. BANK is the customer's bank; MERCHANT_BANK issues and verifies
 # merchant certificates and books the merchant's side of a settlement.
@@ -89,3 +96,42 @@ def received_by(role: str, two_way_only: bool = False) -> Dict[str, FrozenSet[in
     carry, in table order; with `two_way_only`, only the two-way flow's."""
     return {message.msg_type: message.tags for message in PROTOCOL
             if message.receiver == role and (message.two_way_only or not two_way_only)}
+
+
+# -- the codec ------------------------------------------------------------------
+
+Value = Union[str, int, bytes, None]
+_AMOUNT = int(F.AMOUNT)
+
+
+def send(ctx: Ctx, msg_type: str, receiver: str, fields: Optional[Dict[F, Value]] = None,
+         cookie: str = "", request_id: str = "", delay: int = 0) -> None:
+    """Send `msg_type` from the acting actor to `receiver`, after `delay`
+    seconds, on the channel of the message type's row. A str value goes as
+    UTF-8, an int (an amount) as a big-endian u64, bytes as they are; a
+    None value leaves its field out."""
+    body = {}
+    if fields:
+        for tag, value in fields.items():
+            if isinstance(value, str):
+                body[int(tag)] = value.encode("utf-8")
+            elif isinstance(value, int):
+                body[int(tag)] = u64(value)
+            elif value is not None:
+                body[int(tag)] = value
+    ctx.send(Envelope(ctx.actor_name, receiver, MESSAGES[msg_type].channel, msg_type,
+                      body, cookie, request_id), delay)
+
+
+def read_text(body: Dict[int, bytes], tag: F) -> str:
+    """A text field's value; "" when it is absent or not valid UTF-8."""
+    try:
+        return body.get(tag, b"").decode("utf-8")
+    except UnicodeDecodeError:
+        return ""
+
+
+def read_amount(body: Dict[int, bytes]) -> int:
+    """The amount field's value; 0 when it is absent or not a u64."""
+    raw = body.get(_AMOUNT)
+    return int.from_bytes(raw, "big") if raw is not None and len(raw) == 8 else 0

@@ -29,9 +29,9 @@ from .auth_server import PendingTransaction
 from .crypto import DEFAULT_CIPHER, CryptoSuite, derive_shared_key
 from .errors import IntegrityFailure, NoCertificate, WireError
 from .netsim import Actor, Ctx, digest16
-from .protocol import BANK, received_by
+from .protocol import BANK, Value, read_amount, read_text, received_by, send
 from .rng import DeterministicRng
-from .wire import Channel, Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
+from .wire import Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
 
 SIGNATURE_LEN = 32
 AUTH_DEADLINE = 60  # seconds the customer bank waits for a merchant verdict
@@ -219,26 +219,18 @@ class MerchantBank(Actor):
 
     def _on_auth_forward(self, ctx: Ctx, env: Envelope) -> None:
         verdict = self.verify_certificate(
-            env.body.get(int(F.CERT), b""),
-            env.body.get(int(F.ENC_MERCHANT_INFO), b""),
-            now=ctx.now,
+            env.body.get(F.CERT, b""), env.body.get(F.ENC_MERCHANT_INFO, b""), now=ctx.now,
         )
         ctx.note(f"verify-merchant verdict={verdict.label}"
                  + (f" reason={verdict.reason}" if verdict.reason else ""))
-        body = {int(F.VERDICT): verdict.label.encode("utf-8")}
-        if verdict.reason:
-            body[int(F.REASON)] = verdict.reason.encode("utf-8")
-        ctx.send(Envelope(
-            sender=self.name, receiver=env.sender, channel=Channel.INTERBANK,
-            msg_type="merchant_auth_verdict", body=body, request_id=env.request_id,
-        ))
+        send(ctx, "merchant_auth_verdict", env.sender, {
+            F.VERDICT: verdict.label, F.REASON: verdict.reason,
+        }, request_id=env.request_id)
 
     def _on_settle_notice(self, ctx: Ctx, env: Envelope) -> None:
-        notice_id = env.body.get(int(F.NOTICE_ID), b"").decode("utf-8")
-        merchant_id = env.body.get(int(F.MERCHANT_ID), b"").decode("utf-8")
-        invoice_number = env.body.get(int(F.INVOICE_NUMBER), b"").decode("utf-8")
-        customer_ref = env.body.get(int(F.CUSTOMER_REF), b"")
-        amount = int.from_bytes(env.body.get(int(F.AMOUNT), b"\x00"), "big")
+        notice_id = read_text(env.body, F.NOTICE_ID)
+        merchant_id = read_text(env.body, F.MERCHANT_ID)
+        amount = read_amount(env.body)
         if notice_id in self.processed_notices:
             ctx.note(f"notice-duplicate id={notice_id} ignored")
             return
@@ -253,14 +245,11 @@ class MerchantBank(Actor):
         self.ledger_version += 1
         ctx.note(f"merchant-credited merchant={merchant_id} amount={amount} "
                  f"notice={notice_id}")
-        ctx.send(Envelope(
-            sender=self.name, receiver=merchant_id, channel=Channel.WEB,
-            msg_type="payment_confirmation", body={
-                int(F.INVOICE_NUMBER): invoice_number.encode("utf-8"),
-                int(F.AMOUNT): amount.to_bytes(8, "big"),
-                int(F.CUSTOMER_REF): customer_ref,
-            }, request_id=env.request_id,
-        ))
+        send(ctx, "payment_confirmation", merchant_id, {
+            F.INVOICE_NUMBER: read_text(env.body, F.INVOICE_NUMBER),
+            F.AMOUNT: amount,
+            F.CUSTOMER_REF: env.body.get(F.CUSTOMER_REF, b""),
+        }, request_id=env.request_id)
 
 
 class MerchantAgent(Actor):
@@ -280,8 +269,8 @@ class MerchantAgent(Actor):
         self._invoice_counter = 0
         self.confirmations: list = []
 
-    def prepare_invoice(self, cart_total: int) -> Dict[int, bytes]:
-        """Invoice body fields: fresh number, sealed banking info, certificate."""
+    def prepare_invoice(self, cart_total: int) -> Dict[F, Value]:
+        """Invoice field values: fresh number, sealed banking info, certificate."""
         if self.record.certificate is None:
             raise NoCertificate(f"merchant {self.name!r} holds no certificate")
         if cart_total <= 0:
@@ -293,26 +282,22 @@ class MerchantAgent(Actor):
             self.record.account_id.encode("utf-8"), f"minfo|{self.name}",
         )
         return {
-            int(F.INVOICE_NUMBER): invoice_number.encode("utf-8"),
-            int(F.AMOUNT): cart_total.to_bytes(8, "big"),
-            int(F.CERT): self.record.certificate.to_bytes(),
-            int(F.ENC_MERCHANT_INFO): enc_info.to_bytes(),
-            int(F.MERCHANT_ID): self.name.encode("utf-8"),
-            int(F.MERCHANT_BANK_ID): self.record.certificate.merchant_bank_id.encode("utf-8"),
+            F.INVOICE_NUMBER: invoice_number,
+            F.AMOUNT: cart_total,
+            F.CERT: self.record.certificate.to_bytes(),
+            F.ENC_MERCHANT_INFO: enc_info.to_bytes(),
+            F.MERCHANT_ID: self.name,
+            F.MERCHANT_BANK_ID: self.record.certificate.merchant_bank_id,
         }
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
         if env.msg_type == "checkout_request":
-            body = self.prepare_invoice(self.price)
-            invoice_number = body[int(F.INVOICE_NUMBER)].decode("utf-8")
-            ctx.note(f"invoice-sent number={invoice_number} amount={self.price}")
-            ctx.send(Envelope(
-                sender=self.name, receiver=env.sender, channel=Channel.WEB,
-                msg_type="invoice", body=body, request_id=env.request_id,
-            ))
+            fields = self.prepare_invoice(self.price)
+            ctx.note(f"invoice-sent number={fields[F.INVOICE_NUMBER]} amount={self.price}")
+            send(ctx, "invoice", env.sender, fields, request_id=env.request_id)
         elif env.msg_type == "payment_confirmation":
-            invoice = env.body.get(int(F.INVOICE_NUMBER), b"").decode("utf-8")
-            amount = int.from_bytes(env.body.get(int(F.AMOUNT), b"\x00"), "big")
+            invoice = read_text(env.body, F.INVOICE_NUMBER)
+            amount = read_amount(env.body)
             self.confirmations.append((invoice, amount))
             ctx.note(f"payment-confirmed invoice={invoice} amount={amount}")
         else:
@@ -365,38 +350,31 @@ class TwoWayGateway:
 
     def _ack(self, ctx: Ctx, state: _RequestState, verdict: Verdict) -> None:
         state.verdict = verdict
-        body = {int(F.VERDICT): verdict.label.encode("utf-8")}
-        if verdict.reason:
-            body[int(F.REASON)] = verdict.reason.encode("utf-8")
         ctx.note(f"merchant-auth request={state.request_id} verdict={verdict.label}"
                  + (f" reason={verdict.reason}" if verdict.reason else ""))
-        ctx.send(Envelope(
-            sender=self.bank_actor.name, receiver=state.customer, channel=Channel.WEB,
-            msg_type="merchant_auth_ack", body=body, request_id=state.request_id,
-        ))
+        send(ctx, "merchant_auth_ack", state.customer, {
+            F.VERDICT: verdict.label, F.REASON: verdict.reason,
+        }, request_id=state.request_id)
 
     def _on_auth_request(self, ctx: Ctx, env: Envelope) -> None:
-        merchant_bank = env.body.get(int(F.MERCHANT_BANK_ID), b"").decode("utf-8")
+        merchant_bank = read_text(env.body, F.MERCHANT_BANK_ID)
         state = _RequestState(
             request_id=env.request_id,
             customer=env.sender,
-            merchant_id=env.body.get(int(F.MERCHANT_ID), b"").decode("utf-8"),
+            merchant_id=read_text(env.body, F.MERCHANT_ID),
             merchant_bank_id=merchant_bank,
-            invoice_number=env.body.get(int(F.INVOICE_NUMBER), b"").decode("utf-8"),
-            amount=int.from_bytes(env.body.get(int(F.AMOUNT), b"\x00"), "big"),
+            invoice_number=read_text(env.body, F.INVOICE_NUMBER),
+            amount=read_amount(env.body),
         )
         self.requests[state.request_id] = state
         if merchant_bank not in self.known_banks:
             self._ack(ctx, state, Verdict(False, "unknown-merchant-bank"))
             return
-        ctx.send(Envelope(
-            sender=self.bank_actor.name, receiver=merchant_bank,
-            channel=Channel.INTERBANK, msg_type="merchant_auth_forward", body={
-                int(F.CERT): env.body.get(int(F.CERT), b""),
-                int(F.ENC_MERCHANT_INFO): env.body.get(int(F.ENC_MERCHANT_INFO), b""),
-                int(F.MERCHANT_ID): state.merchant_id.encode("utf-8"),
-            }, request_id=state.request_id,
-        ))
+        send(ctx, "merchant_auth_forward", merchant_bank, {
+            F.CERT: env.body.get(F.CERT, b""),
+            F.ENC_MERCHANT_INFO: env.body.get(F.ENC_MERCHANT_INFO, b""),
+            F.MERCHANT_ID: state.merchant_id,
+        }, request_id=state.request_id)
         state.timer_token = ctx.set_timer(
             f"merchant-auth-timeout|{state.request_id}", delay=AUTH_DEADLINE,
         )
@@ -408,8 +386,8 @@ class TwoWayGateway:
             return
         if state.timer_token is not None:
             ctx.cancel_timer(state.timer_token)
-        label = env.body.get(int(F.VERDICT), b"").decode("utf-8")
-        reason = env.body.get(int(F.REASON), b"").decode("utf-8") or None
+        label = read_text(env.body, F.VERDICT)
+        reason = read_text(env.body, F.REASON) or None
         if label == "positive":
             self._ack(ctx, state, Verdict(True))
         else:
@@ -433,25 +411,17 @@ class TwoWayGateway:
             return
         self._notice_counter += 1
         notice_id = f"{self.bank_actor.name}-N{self._notice_counter:04d}"
-        customer_ref = digest16(txn.account_id.encode("utf-8")).encode("utf-8")
         # Funds already moved into clearing at commit; the notice tells the
         # merchant bank to book its side, once, keyed by notice id.
-        ctx.send(Envelope(
-            sender=self.bank_actor.name, receiver=state.merchant_bank_id,
-            channel=Channel.INTERBANK, msg_type="settle_notice", body={
-                int(F.AMOUNT): txn.order.amount.to_bytes(8, "big"),
-                int(F.INVOICE_NUMBER): state.invoice_number.encode("utf-8"),
-                int(F.MERCHANT_ID): state.merchant_id.encode("utf-8"),
-                int(F.CUSTOMER_REF): customer_ref,
-                int(F.NOTICE_ID): notice_id.encode("utf-8"),
-            }, request_id=state.request_id,
-        ))
-        ctx.send(Envelope(
-            sender=self.bank_actor.name, receiver=state.customer, channel=Channel.WEB,
-            msg_type="payment_notice", body={
-                int(F.INVOICE_NUMBER): state.invoice_number.encode("utf-8"),
-                int(F.AMOUNT): txn.order.amount.to_bytes(8, "big"),
-            }, request_id=state.request_id,
-        ))
+        send(ctx, "settle_notice", state.merchant_bank_id, {
+            F.AMOUNT: txn.order.amount,
+            F.INVOICE_NUMBER: state.invoice_number,
+            F.MERCHANT_ID: state.merchant_id,
+            F.CUSTOMER_REF: digest16(txn.account_id.encode("utf-8")),
+            F.NOTICE_ID: notice_id,
+        }, request_id=state.request_id)
+        send(ctx, "payment_notice", state.customer, {
+            F.INVOICE_NUMBER: state.invoice_number, F.AMOUNT: txn.order.amount,
+        }, request_id=state.request_id)
         ctx.note(f"settled request={state.request_id} notice={notice_id} "
                  f"amount={txn.order.amount}")

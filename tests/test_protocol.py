@@ -20,6 +20,7 @@ import yaml
 
 from ticpay.auth_server import TxnState
 from ticpay.checks import MERCHANT_SCHEMAS, conformance_check
+from ticpay.netsim import AdversaryScript
 from ticpay.protocol import (
     BANK,
     CLIENT,
@@ -31,6 +32,9 @@ from ticpay.protocol import (
     PROTOCOL,
     TEMPLATES,
     TWO_WAY_TEMPLATE,
+    read_amount,
+    read_text,
+    send,
 )
 from ticpay.scenarios import (
     MSG_TYPES as SCENARIO_MSG_TYPES,
@@ -44,7 +48,7 @@ from ticpay.scenarios import (
     run_spec,
 )
 from ticpay.two_way import TwoWayGateway
-from ticpay.wire import Envelope, F
+from ticpay.wire import Channel, Envelope, F
 
 from test_scenarios_cli import load_workloads
 
@@ -83,6 +87,47 @@ def test_one_row_per_message_type_and_every_tag_has_a_row():
     allowed = set().union(*(row.tags for row in PROTOCOL))
     assert {int(tag) for tag in F} <= allowed
     assert allowed <= {int(tag) for tag in F}
+
+
+# -- the codec ------------------------------------------------------------------------
+
+
+class Recorder:
+    """A stand-in for a simulation's Ctx that keeps what is sent."""
+
+    actor_name = "cbank"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, env, delay=0):
+        self.sent.append((env, delay))
+
+
+def test_send_takes_the_channel_from_the_row_and_encodes_plain_values():
+    ctx = Recorder()
+    send(ctx, "sms_challenge", "alice", {
+        F.TXN_ID: "T0001", F.AMOUNT: 4999, F.ACCOUNT_REF: "\u00e9", F.CELL: None,
+    }, request_id="R1", delay=3)
+    send(ctx, "submit_ack", "alice", {F.STATUS: b"\x00"}, cookie="c")
+    (challenge, delay), (ack, _) = ctx.sent
+    assert delay == 3
+    assert (challenge.sender, challenge.receiver, challenge.channel, challenge.request_id) \
+        == ("cbank", "alice", Channel.SMS, "R1")
+    assert challenge.body == {int(F.TXN_ID): b"T0001",
+                              int(F.AMOUNT): (4999).to_bytes(8, "big"),
+                              int(F.ACCOUNT_REF): "\u00e9".encode("utf-8")}
+    assert (ack.channel, ack.cookie, ack.body) == (Channel.WEB, "c", {int(F.STATUS): b"\x00"})
+
+
+def test_reads_give_the_empty_value_for_a_missing_or_undecodable_field():
+    body = {int(F.REASON): b"\xc3\xa9", int(F.TXN_ID): b"T\x80",
+            int(F.AMOUNT): bytes(7) + b"\x05"}
+    assert read_text(body, F.REASON) == "\u00e9"
+    assert read_text(body, F.TXN_ID) == read_text(body, F.CELL) == ""
+    assert read_amount(body) == 5
+    # only a u64 is an amount: nine bytes would overflow the u64 it is sent on
+    assert read_amount({}) == read_amount({int(F.AMOUNT): b"\x01" + bytes(8)}) == 0
 
 
 # -- traffic against the table -------------------------------------------------------
@@ -161,6 +206,16 @@ def test_each_actor_answers_exactly_what_its_role_receives():
     # The client speaks both flows; its merchant setting picks the path.
     for world in (one_way, two_way):
         assert answered(world, world.clients[0]) == receives(CLIENT, "two-way")
+
+
+def test_the_bank_answers_on_the_reply_row_channel_not_the_request_channel():
+    forged = Envelope("mallory", "cbank", Channel.SMS, "login_request",
+                      {int(F.USERNAME): b"mallory", int(F.PASSWORD): b"guess"}).to_bytes()
+    spec = load_spec(find_bundled("happy-oneway"))
+    world = run_spec(replace(spec, adversary=AdversaryScript(injections=((5, forged),)))).world
+    answers = [e for e in world.sim.trace.events
+               if e.kind == "send" and e.msg_type == "login_response" and e.receiver == "mallory"]
+    assert [e.channel for e in answers] == ["WEB"]
 
 
 # -- conformance per client ---------------------------------------------------------

@@ -27,8 +27,8 @@ def merchant_fixture(valid_from=0, valid_until=10**9):
 
 
 def invoice_parts(agent):
-    body = agent.prepare_invoice(agent.price)
-    return body[int(F.CERT)], body[int(F.ENC_MERCHANT_INFO)]
+    fields = agent.prepare_invoice(agent.price)
+    return fields[F.CERT], fields[F.ENC_MERCHANT_INFO]
 
 
 # -- certificate verification ---------------------------------------------------
@@ -121,9 +121,9 @@ def test_invoice_requires_a_certificate_and_a_real_total():
     bank.issue_certificate("bare", 0, 100)
     with pytest.raises(ValueError):
         agent.prepare_invoice(0)
-    first = agent.prepare_invoice(10)[int(F.INVOICE_NUMBER)]
-    second = agent.prepare_invoice(10)[int(F.INVOICE_NUMBER)]
-    assert first == b"bare-INV0001" and second == b"bare-INV0002"
+    first = agent.prepare_invoice(10)[F.INVOICE_NUMBER]
+    second = agent.prepare_invoice(10)[F.INVOICE_NUMBER]
+    assert first == "bare-INV0001" and second == "bare-INV0002"
 
 
 # -- full two-way runs -------------------------------------------------------------
