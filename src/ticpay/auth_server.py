@@ -30,7 +30,7 @@ from .protocol import read_text, send
 from .rng import DeterministicRng
 from .tic_registry import TicRegistry, code_digest
 from .vault import TicVault
-from .wire import Ciphertext, Envelope, F, Header
+from .wire import Ciphertext, Envelope, F
 
 DEFAULT_SMS_DEADLINE = 300
 LOCKOUT_AFTER = 5  # consecutive bad passwords before an account locks
@@ -491,19 +491,19 @@ class BankActor(Actor):
             return
         handler(ctx, env)
 
-    def on_malformed(self, ctx: Ctx, header: Header) -> None:
+    def on_malformed(self, ctx: Ctx, env: Envelope) -> None:
         # A submission that does not even parse gets the same opaque denial
         # as any other failed submission, and costs the session either way.
-        ctx.note(f"malformed msg_type={header.msg_type}")
-        if header.msg_type != "payment_submit":
+        ctx.note(f"malformed msg_type={env.msg_type}")
+        if env.msg_type != "payment_submit":
             return
-        session = self.server.sessions.get(header.cookie)
+        session = self.server.sessions.get(env.cookie)
         if session is not None and session.phase is not Phase.CLOSED:
             session.advance(Phase.CLOSED)
             self._note_phase(ctx, session)
         ctx.note("submit-rejected cause=malformed-envelope")
-        send(ctx, "submit_ack", header.sender, generic_denial_body(),
-             request_id=header.request_id)
+        send(ctx, "submit_ack", env.sender, generic_denial_body(),
+             request_id=env.request_id)
 
     def on_timer(self, ctx: Ctx, label: str) -> None:
         if label.startswith("sms-expire|"):

@@ -6,6 +6,9 @@ then spends one vault code per transaction — the code encrypts the
 order, the session key encrypts the code, and neither ever leaves the
 device in the clear. SMS prompts are answered only for transactions
 this agent actually started; anything else is ignored as a spoof.
+Likewise a login response, an invoice or a submission ack is acted on
+only while the agent's own request for it is outstanding, so a replayed
+or injected copy cannot restart or repeat a step.
 
 For two-way purchases the agent first asks its bank to authenticate
 the merchant and refuses to send a single payment byte until the
@@ -85,6 +88,9 @@ class ClientAgent(Actor):
         self.inflight: Optional[_InFlight] = None
         self.outcomes: List[str] = []
         self._queue: List[PaymentOrder] = list(payments or [])
+        # Set while the request each reply answers is outstanding.
+        self._awaiting_login = False
+        self._awaiting_invoice = False
         self._awaiting_ack = False
         self._request_counter = 0
         self.request_id = ""
@@ -109,6 +115,7 @@ class ClientAgent(Actor):
             return
         self.session = None
         self.inflight = None
+        self._awaiting_login = True
         send(ctx, "login_request", self.bank, {F.USERNAME: self.name, F.PASSWORD: self.password})
 
     def _finish_current(self, ctx: Ctx, outcome: str) -> None:
@@ -150,6 +157,10 @@ class ClientAgent(Actor):
         self._begin_next(ctx)
 
     def _on_login_response(self, ctx: Ctx, env: Envelope) -> None:
+        if not self._awaiting_login:
+            ctx.note("unexpected-login-response ignored")
+            return
+        self._awaiting_login = False
         if env.body.get(F.STATUS) != b"\x01":
             reason = read_text(env.body, F.REASON)
             ctx.note(f"login-failed cause={reason}")
@@ -169,6 +180,7 @@ class ClientAgent(Actor):
         if self.merchant is not None:
             self._request_counter += 1
             self.request_id = f"{self.name}-R{self._request_counter:03d}"
+            self._awaiting_invoice = True
             send(ctx, "checkout_request", self.merchant, request_id=self.request_id)
             return
         self._select_mode(ctx, self._queue[0].mode)
@@ -276,6 +288,10 @@ class ClientAgent(Actor):
     # -- two-way handlers ----------------------------------------------------------
 
     def _on_invoice(self, ctx: Ctx, env: Envelope) -> None:
+        if not self._awaiting_invoice or env.request_id != self.request_id:
+            ctx.note("unexpected-invoice ignored")
+            return
+        self._awaiting_invoice = False
         body = env.body
         try:
             cert = MerchantCertificate.from_bytes(body[F.CERT])

@@ -12,13 +12,13 @@ type, nth occurrence) and can drop, delay-replay, bit-tamper, or
 inject. Tampering is confined to body bytes so corrupted messages
 still route to their receiver, which gets the strict decoder's rejection.
 
-Each transmission is described once, where it enters the wire: its
-header, its body fields in tag order (or the strict decoder's error) and
-its digest travel with the bytes, and replays, delivery and the wire log
-read only that description. An actor's send builds it from the envelope
-it encoded. Bytes no sender described are read once: injections when the
-run starts, tampered copies at the tamper. Delivery hands the receiver
-the carried fields, or rejects a body that did not decode.
+A transmission is one envelope from send to delivery: the bytes, the
+envelope they encode and their digest travel together, and replays,
+delivery and the wire log read the envelope, not the bytes. A send
+carries the sender's own envelope. Bytes no actor encoded (injections,
+tampered copies) are read once, through `Envelope.from_bytes`; if their
+body does not decode, the bus carries their header with an empty body and
+the decoder's error, and delivery hands it to `on_malformed`.
 
 The bus keeps a wire log of every byte that crossed a channel, with each
 body's tags but not its field values; leakage scans run over that log, not
@@ -36,10 +36,10 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ActorFault, ScenarioError, StepBudgetExceeded, WireError
-from .wire import Channel, Envelope, Header, decode_fields, peek_header
+from .wire import Channel, Envelope, peek_header
 
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
 _CHANNEL_NAMES = {channel: channel.name for channel in Channel}
@@ -47,7 +47,6 @@ DEFAULT_STEP_BUDGET = 10_000
 TRACE_CHUNK = 512  # trace events per chunk of exported lines
 
 
-Fields = Tuple[Tuple[int, bytes], ...]  # body fields in tag order
 Tags = Tuple[int, ...]  # body tags in order
 
 
@@ -55,20 +54,18 @@ def digest16(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _tags(fields: Union[Fields, WireError]) -> Optional[Tags]:
-    return None if isinstance(fields, WireError) else tuple([tag for tag, _ in fields])
-
-
-def _describe(data: bytes) -> Tuple[Header, Union[Fields, WireError], str]:
-    """Read bytes no sender described: the header, the body fields in tag
-    order or the strict decoder's error, and the digest. Raises WireError
-    if the header does not parse."""
-    header = peek_header(data)
+def _read(data: bytes) -> Tuple[bytes, Envelope, Optional[WireError], str]:
+    """Read bytes no actor encoded into the transmission the bus carries:
+    the bytes, their envelope, None and their digest; or, when the body
+    does not decode, the header with an empty body and the decoder's
+    error. Raises WireError if the header does not parse."""
     try:
-        fields: Union[Fields, WireError] = tuple(decode_fields(header.raw_body).items())
+        env, error = Envelope.from_bytes(data), None
     except WireError as exc:
-        fields = exc
-    return header, fields, digest16(data)
+        h = peek_header(data)
+        env = Envelope(h.sender, h.receiver, h.channel, h.msg_type, {}, h.cookie, h.request_id)
+        error = exc
+    return data, env, error, digest16(data)
 
 
 # -- trace ------------------------------------------------------------------
@@ -152,8 +149,8 @@ class WireRecord(NamedTuple):
 
     `seq` is the trace sequence number of the matching send event, so a
     finding against these bytes can cite a line in the exported trace.
-    `tags` are the body tags of `data` in order, taken from the fields its
-    description carried, or None when the body does not decode. The field
+    `tags` are the body tags of `data` in order, taken from the envelope
+    carried with it, or None when the body does not decode. The field
     values stay in `data` only.
     """
 
@@ -204,10 +201,10 @@ class Rule:
     msg_type: Optional[str] = None
     nth: Optional[int] = None
 
-    def matches(self, header: Header, occurrence: int) -> bool:
-        if self.channel is not None and header.channel != self.channel:
+    def matches(self, env: Envelope, occurrence: int) -> bool:
+        if self.channel is not None and env.channel != self.channel:
             return False
-        if self.msg_type is not None and header.msg_type != self.msg_type:
+        if self.msg_type is not None and env.msg_type != self.msg_type:
             return False
         if self.nth is not None and occurrence != self.nth:
             return False
@@ -246,8 +243,9 @@ class Actor:
     def on_message(self, ctx: "Ctx", env: Envelope) -> None:
         pass
 
-    def on_malformed(self, ctx: "Ctx", header: Header) -> None:
-        """Called when a transmission routed here failed strict decoding."""
+    def on_malformed(self, ctx: "Ctx", env: Envelope) -> None:
+        """Called when a transmission routed here failed strict decoding;
+        `env` holds its header fields and an empty body."""
 
     def on_timer(self, ctx: "Ctx", label: str) -> None:
         pass
@@ -265,13 +263,11 @@ class Ctx:
         return self._sim.now
 
     def send(self, env: Envelope, delay: int = 0) -> None:
-        """Encode `env` and enter it into the wire after `delay` seconds,
-        described by the header, tag-ordered body fields and digest that
-        `env` gives. Raises the WireError the parser would raise for these
-        bytes."""
+        """Encode `env` and enter it into the wire after `delay` seconds;
+        the bus carries `env` itself to the receiver. Raises the WireError
+        of an envelope the encoder rejects."""
         data = env.to_bytes()
-        self._sim._push(self._sim.now + delay, "send", (
-            data, env.header(data), tuple(sorted(env.body.items())), digest16(data)))
+        self._sim._push(self._sim.now + delay, "send", (data, env, None, digest16(data)))
 
     def set_timer(self, label: str, delay: int) -> int:
         return self._sim.set_timer(self.actor_name, label, self._sim.now + delay)
@@ -352,56 +348,56 @@ class Simulation:
     def cancel_timer(self, token: int) -> None:
         self._cancelled.add(token)
 
-    def _dispatch_send(self, data: bytes, header: Header,
-                       fields: Union[Fields, WireError], digest: str) -> None:
+    def _dispatch_send(self, data: bytes, env: Envelope, error: Optional[WireError],
+                       digest: str) -> None:
         """Pass one transmission through the adversary onto its channel.
 
-        `header`, `fields` and `digest` describe `data`; only a tamper reads
-        bytes here, and it describes the corrupted copy once.
+        `env` is what `data` encodes (its header alone, with `error`, when
+        the body does not decode); only a tamper reads bytes here: it finds
+        the body in `data`, then reads the corrupted copy once.
         """
-        channel, msg_type = header.channel, header.msg_type
+        channel, msg_type = env.channel, env.msg_type
         key = (channel, msg_type)
         occurrence = self._occurrences[key] = self._occurrences.get(key, 0) + 1
-        seq = self._record("send", _CHANNEL_NAMES[channel], header.sender, header.receiver,
-                           msg_type, header.request_id or None, digest)
-        self.wire_log.append(WireRecord(
-            seq, self.now, channel, header.sender, header.receiver, msg_type,
-            data, _tags(fields)))
+        name = _CHANNEL_NAMES[channel]
+        seq = self._record("send", name, env.sender, env.receiver, msg_type,
+                           env.request_id or None, digest)
+        self._log(seq, data, env, error)
 
         dropped = False
         for rule in self.adversary.rules:
-            if not rule.matches(header, occurrence):
+            if not rule.matches(env, occurrence):
                 continue
             action = rule.action
             if isinstance(action, Drop):
                 dropped = True
-                self._record("drop", channel=header.channel.name,
-                             msg_type=header.msg_type, body_digest=digest)
+                self._record("drop", channel=name, msg_type=msg_type, body_digest=digest)
             elif isinstance(action, Tamper):
-                data = self._apply_tamper(data, header, action)
-                header, fields, digest = _describe(data)
-                seq = self._record("tamper", channel=header.channel.name,
-                                   msg_type=header.msg_type, body_digest=digest)
+                data, env, error, digest = _read(self._apply_tamper(data, action))
+                seq = self._record("tamper", channel=name, msg_type=msg_type,
+                                   body_digest=digest)
                 # The corrupted bytes are what actually crosses the wire.
-                self.wire_log.append(WireRecord(
-                    seq, self.now, header.channel, header.sender, header.receiver,
-                    header.msg_type, data, _tags(fields)))
+                self._log(seq, data, env, error)
             elif isinstance(action, Replay):
                 for i in range(action.copies):
                     self._push(self.now + action.delay * (i + 1), "send",
-                               (data, header, fields, digest))
-                self._record("replay", channel=header.channel.name,
-                             msg_type=header.msg_type, body_digest=digest)
+                               (data, env, error, digest))
+                self._record("replay", channel=name, msg_type=msg_type, body_digest=digest)
             else:
                 raise ScenarioError(f"unknown adversary action {action!r}")
 
         if not dropped:
-            self._push(self.now + LATENCY[header.channel], "deliver",
-                       (header, fields, digest))
+            self._push(self.now + LATENCY[channel], "deliver", (env, error, digest))
+
+    def _log(self, seq: int, data: bytes, env: Envelope,
+             error: Optional[WireError]) -> None:
+        self.wire_log.append(WireRecord(
+            seq, self.now, env.channel, env.sender, env.receiver, env.msg_type, data,
+            None if error is not None else tuple(sorted(env.body))))
 
     @staticmethod
-    def _apply_tamper(data: bytes, header: Header, action: Tamper) -> bytes:
-        body_start = len(data) - len(header.raw_body)
+    def _apply_tamper(data: bytes, action: Tamper) -> bytes:
+        body_start = len(data) - len(peek_header(data).raw_body)
         buf = bytearray(data)
         for offset, mask in action.edits:
             idx = body_start + offset
@@ -410,33 +406,27 @@ class Simulation:
             buf[idx] ^= mask & 0xFF
         return bytes(buf)
 
-    def _dispatch_deliver(self, header: Header,
-                          fields: Union[Fields, WireError], digest: str) -> None:
-        actor = self._actors.get(header.receiver)
+    def _dispatch_deliver(self, env: Envelope, error: Optional[WireError],
+                          digest: str) -> None:
+        actor = self._actors.get(env.receiver)
+        name = _CHANNEL_NAMES[env.channel]
         if actor is None:
-            self._record("drop", channel=header.channel.name,
-                         msg_type=header.msg_type, note="no such receiver")
+            self._record("drop", channel=name, msg_type=env.msg_type,
+                         note="no such receiver")
             return
-        ctx = self._ctxs[actor.name]
-        if isinstance(fields, WireError):
-            seq = self._record("reject-parse", channel=header.channel.name,
-                               sender=header.sender, receiver=header.receiver,
-                               msg_type=header.msg_type, note=str(fields))
-            try:
-                actor.on_malformed(ctx, header)
-            except Exception as exc:
-                raise ActorFault(actor.name, exc, seq) from exc
-            return
-        env = Envelope(header.sender, header.receiver, header.channel, header.msg_type,
-                       dict(fields), header.cookie, header.request_id)
-        env.seq = self._record("deliver", _CHANNEL_NAMES[header.channel], header.sender,
-                               header.receiver, header.msg_type,
-                               header.request_id or None, digest)
-        env.delivered_at = self.now
+        if error is None:
+            seq = self._record("deliver", name, env.sender, env.receiver, env.msg_type,
+                               env.request_id or None, digest)
+            handler = actor.on_message
+        else:
+            seq = self._record("reject-parse", channel=name, sender=env.sender,
+                               receiver=env.receiver, msg_type=env.msg_type,
+                               note=str(error))
+            handler = actor.on_malformed
         try:
-            actor.on_message(ctx, env)
+            handler(self._ctxs[actor.name], env)
         except Exception as exc:
-            raise ActorFault(actor.name, exc, env.seq) from exc
+            raise ActorFault(actor.name, exc, seq) from exc
 
     # -- main loop ---------------------------------------------------------
 
@@ -446,7 +436,7 @@ class Simulation:
         injections = []
         for i, (at, data) in enumerate(self.adversary.injections):
             try:
-                injections.append((at, (data, *_describe(data))))
+                injections.append((at, _read(data)))
             except WireError as exc:
                 raise ScenarioError(f"injections[{i}]: {exc}") from exc
         for at, payload in sorted(injections, key=lambda p: p[0]):

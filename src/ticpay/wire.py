@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple
 
 from .errors import WireError
 
@@ -214,13 +214,9 @@ class Ciphertext:
         return cls(role=role, nonce=nonce, body=body, tag=tag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Envelope:
-    """One message on a simulated channel.
-
-    `seq` and `delivered_at` are assigned by the bus at delivery time and
-    are trace metadata, not part of the sender's wire bytes.
-    """
+    """One message on a simulated channel, as its sender wrote it."""
 
     sender: str
     receiver: str
@@ -229,10 +225,10 @@ class Envelope:
     body: Dict[int, bytes] = field(default_factory=dict)
     cookie: str = ""
     request_id: str = ""
-    seq: Optional[int] = None
-    delivered_at: Optional[int] = None
 
     def to_bytes(self) -> bytes:
+        if self.channel not in _CHANNELS:
+            raise WireError(f"unknown channel {self.channel}")
         body = encode_fields(self.body)
         return b"".join((
             MAGIC,
@@ -246,21 +242,6 @@ class Envelope:
             body,
         ))
 
-    def header(self, data: bytes) -> "Header":
-        """The header ``peek_header(data)`` returns, where `data` is this
-        envelope's ``to_bytes()``, built from its own fields without reading
-        `data` back: the body is the tail of `data`, six bytes of tag and
-        length per field plus the values. A channel the parser would reject
-        raises the parser's WireError.
-        """
-        channel = _CHANNELS.get(self.channel)
-        if channel is None:
-            raise WireError(f"unknown channel {data[3]}")
-        body = self.body
-        size = 6 * len(body) + sum(map(len, body.values()))
-        return Header(self.sender, self.receiver, channel, self.msg_type,
-                      self.cookie, self.request_id, data[len(data) - size:])
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
         header = peek_header(data)
@@ -269,10 +250,11 @@ class Envelope:
 
 
 class Header(NamedTuple):
-    """Routing view of an envelope: header fields plus undecoded body bytes.
+    """Header fields of an envelope plus its undecoded body bytes.
 
-    The bus routes on this so a message with a corrupted body still reaches
-    its receiver, which gets the strict decoder's rejection.
+    The bus reads it to find the body bytes a tamper edits, and for bytes
+    whose body does not decode, so that a message with a corrupted body
+    still reaches its receiver, which gets the strict decoder's rejection.
     """
 
     sender: str

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from ticpay.auth_server import BankActor, BankServer
+from ticpay.auth_server import BankActor, BankServer, TxnState
 from ticpay.client_agent import ClientAgent
 from ticpay.crypto import Pin
 from ticpay.errors import IntegrityFailure
-from ticpay.netsim import AdversaryScript, Rule, Simulation, Tamper
+from ticpay.netsim import AdversaryScript, Replay, Rule, Simulation, Tamper
 from ticpay.payment import PayMode, PaymentOrder
+from ticpay.scenarios import find_bundled, load_spec, run_spec
 from ticpay.wire import Channel, Envelope, F
 
 PIN = Pin.from_hex("00112233445566aa")
@@ -225,3 +228,39 @@ def test_tampered_provision_is_rejected_and_the_run_completes(offset):
     assert "login_request" not in sent_types(sim)
     assert client.outcomes == []
 
+
+# -- a reply is acted on only while its request is outstanding ---------------------
+
+
+def bundled_run(name, *rules, injections=()):
+    spec = load_spec(find_bundled(name))
+    return run_spec(replace(spec, adversary=AdversaryScript(rules, injections)))
+
+
+def pays_once(report) -> bool:
+    """The run's one client commits its one payment, exactly once."""
+    commits = [t for t in report.world.server.txns.values() if t.state is TxnState.COMMITTED]
+    return [c.outcomes for c in report.world.clients] == [["committed"]] and len(commits) == 1
+
+
+@pytest.mark.parametrize("name, msg_type, delay", [
+    ("happy-oneway", "login_response", 3),  # read an empty payment queue: IndexError
+    ("happy-oneway", "login_request", 3),
+    ("happy-twoway", "login_request", 18),  # started a second checkout and paid twice
+])
+def test_a_login_response_outside_its_request_is_ignored(name, msg_type, delay):
+    report = bundled_run(name, Rule(Replay(delay=delay), msg_type=msg_type, nth=1))
+    assert pays_once(report), report.render()
+    assert "alice: unexpected-login-response ignored" in notes(report.world.sim)
+
+
+def test_an_invoice_outside_its_checkout_is_ignored():
+    untouched = bundled_run("happy-twoway")
+    invoice = next(r.data for r in untouched.world.sim.wire_log if r.msg_type == "invoice")
+    # Injected before any session, the invoice crashed the client; replayed,
+    # it started a second merchant check that cost the payment.
+    for report in (bundled_run("happy-twoway", injections=[(0, invoice)]),
+                   bundled_run("happy-twoway", Rule(Replay(delay=5), msg_type="invoice",
+                                                    nth=1))):
+        assert pays_once(report), report.render()
+        assert "alice: unexpected-invoice ignored" in notes(report.world.sim)

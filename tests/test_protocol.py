@@ -11,14 +11,12 @@ that client.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
-from ticpay.auth_server import TxnState
 from ticpay.checks import MERCHANT_SCHEMAS, conformance_check
 from ticpay.netsim import AdversaryScript
 from ticpay.protocol import (
@@ -51,6 +49,7 @@ from ticpay.two_way import TwoWayGateway
 from ticpay.wire import Channel, Envelope, F
 
 from test_scenarios_cli import load_workloads
+from test_tamper import grid
 
 # -- the lists the table replaced, as they were written by hand -----------------------
 
@@ -272,10 +271,7 @@ def provision_replays(name: str, payments_twice: bool):
         yield delay, run_spec(parse_spec(raw))
 
 
-def committed(report) -> Counter:
-    server = report.world.server
-    return Counter((txn.account_id, txn.order.amount, txn.order.payee_account)
-                   for txn in server.txns.values() if txn.state is TxnState.COMMITTED)
+committed = grid.committed
 
 
 @pytest.mark.parametrize("name, payments_twice", [("happy-twoway", False),

@@ -1,12 +1,15 @@
-"""A tampered field is handled as a missing one: no run crashes.
+"""A tampered field is handled as a missing one, and a dropped or replayed
+message as a lost or stale one: no run crashes or pays twice.
 
-A slice of ``tools/tamper_grid.py``: in both happy flows, the first value
-byte of every body field of the first transmission of each message type
-is flipped with mask 0x80 and with mask 0x01. A 0x80 flip makes any
-ASCII text invalid UTF-8, and a 0x01 flip of a ciphertext's first byte
-changes its key role. Every run must end in a report with no
-`actor-fault` and no `step-budget`, and commit nothing the untouched run
-does not commit.
+Slices of ``tools/tamper_grid.py``, against the first transmission of each
+message type in both happy flows:
+  - the first value byte of every body field is flipped with mask 0x80 and
+    with mask 0x01. A 0x80 flip makes any ASCII text invalid UTF-8, and a
+    0x01 flip of a ciphertext's first byte changes its key role;
+  - the transmission is dropped, or replayed once after 1, 3, 18 or 40
+    seconds.
+Every run must end in a report with no `actor-fault` and no `step-budget`,
+and commit nothing the untouched run does not commit.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ import pytest
 
 from ticpay.scenarios import find_bundled, load_spec, run_spec
 
-from test_protocol import committed
-
-GRID = Path(__file__).resolve().parents[1] / "tools" / "tamper_grid.py"
-
 
 def load_grid():
-    spec = importlib.util.spec_from_file_location("tamper_grid", GRID)
+    path = Path(__file__).resolve().parents[1] / "tools" / "tamper_grid.py"
+    spec = importlib.util.spec_from_file_location("tamper_grid", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+grid = load_grid()
 
 
 def value_starts(body: bytes):
@@ -42,24 +45,36 @@ def value_starts(body: bytes):
         pos += size
 
 
+def no_run_faults_or_pays_outside(name, actions):
+    """Run bundled `name` under each of the grid's `actions` against the
+    first transmission of each message type; returns how many runs."""
+    spec = load_spec(find_bundled(name))
+    untouched = run_spec(spec)
+    baseline = grid.committed(untouched)
+    assert sum(baseline.values()) == 1
+    runs = 0
+    for msg_type, label, attacked in grid.attacked_specs(spec, untouched, actions):
+        report = run_spec(attacked)
+        where = (msg_type, label)
+        assert not {r.name for r in report.results} & set(grid.FAULTS), \
+            (where, report.render())
+        assert not grid.committed(report) - baseline, where
+        runs += 1
+    return runs
+
+
 # 21 non-empty fields in the one-way flow's messages, 48 in the two-way's
 @pytest.mark.parametrize("name, fields", [("happy-oneway", 21), ("happy-twoway", 48)])
 def test_no_tampered_field_crashes_a_run(name, fields):
-    grid = load_grid()
-    spec = load_spec(find_bundled(name))
-    untouched = run_spec(spec)
-    baseline = committed(untouched)
-    assert sum(baseline.values()) == 1
-    runs = 0
-    for msg_type, offset, mask, tampered in grid.tampered_specs(
-            spec, untouched, value_starts, (0x80, 0x01)):
-        report = run_spec(tampered)
-        where = (msg_type, offset, mask)
-        assert not {r.name for r in report.results} & set(grid.FAULTS), \
-            (where, report.render())
-        assert not committed(report) - baseline, where
-        runs += 1
+    runs = no_run_faults_or_pays_outside(name, grid.tampers(value_starts, (0x80, 0x01)))
     assert runs == 2 * fields
+
+
+# 10 message types in the one-way flow, 19 in the two-way
+@pytest.mark.parametrize("name, types", [("happy-oneway", 10), ("happy-twoway", 19)])
+def test_no_dropped_or_replayed_message_crashes_a_run_or_pays_twice(name, types):
+    runs = no_run_faults_or_pays_outside(name, grid.drop_and_replays((1, 3, 18, 40)))
+    assert runs == 5 * types
 
 
 @pytest.mark.parametrize("name, msg_type, offset, outcome", [
@@ -68,9 +83,8 @@ def test_no_tampered_field_crashes_a_run(name, fields):
      "verify-merchant verdict=negative reason=banking-info-mismatch"),
 ])
 def test_a_flipped_key_role_fails_as_an_integrity_check(name, msg_type, offset, outcome):
-    grid = load_grid()
     spec = load_spec(find_bundled(name))
-    tampered = next(s for m, o, _, s in grid.tampered_specs(
-        spec, run_spec(spec), lambda body: [offset], (0x01,)) if m == msg_type)
+    tampered = next(s for m, _, s in grid.attacked_specs(
+        spec, run_spec(spec), grid.tampers(lambda body: [offset], (0x01,))) if m == msg_type)
     notes = [e.note for e in run_spec(tampered).world.sim.trace.events if e.kind == "note"]
     assert outcome in notes

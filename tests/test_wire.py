@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given
@@ -51,8 +52,10 @@ def test_envelope_round_trip():
     assert back.cookie == "c0ffee"
     assert back.request_id == ""
     assert back.body == {int(F.USERNAME): b"alice", int(F.PASSWORD): b"hunter2"}
-    # bus metadata is assigned at delivery, never parsed from the wire
-    assert back.seq is None and back.delivered_at is None
+    assert back == env
+    # the bus hands one envelope from sender to receiver, so none may change it
+    with pytest.raises(FrozenInstanceError):
+        back.sender = "mallory"
 
 
 def test_envelope_byte_layout_is_fixed():
