@@ -29,7 +29,7 @@ from .payment import PayMode, PaymentOrder
 from .protocol import read_text, send
 from .rng import DeterministicRng
 from .tic_registry import TicRegistry, code_digest
-from .vault import TicVault
+from .vault import TicVault, VaultKeys
 from .wire import Ciphertext, Envelope, F
 
 DEFAULT_SMS_DEADLINE = 300
@@ -157,7 +157,8 @@ class BankServer:
     """Accounts, sessions, registry, and the money book for one bank.
 
     `seed` drives every random artifact (salts, cookies, session keys)
-    so two servers built alike behave byte-identically.
+    so two servers built alike behave byte-identically. `vault_keys` is
+    the world's vault key memo, shared with its customers' devices.
     """
 
     def __init__(
@@ -166,9 +167,11 @@ class BankServer:
         seed: int | str | bytes = 0,
         cipher: str = DEFAULT_CIPHER,
         sms_deadline: int = DEFAULT_SMS_DEADLINE,
+        vault_keys: Optional[VaultKeys] = None,
     ):
         self.name = name
         self.registry = TicRegistry()
+        self.vault_keys = vault_keys if vault_keys is not None else VaultKeys()
         self.cipher_name = cipher
         self.suite = CryptoSuite(cipher)
         self.sms_deadline = sms_deadline
@@ -235,11 +238,15 @@ class BankServer:
         batch = self.registry.generate_tics(
             record.account_id, count, seed=self._rng.child(f"batch|{username}").take(16)
         )
-        salt = self._rng.child(f"vault-salt|{username}").take(16)
         vault = TicVault.provision(
-            batch.codes, record.vault_password, salt=salt, cipher=self.cipher_name,
+            batch.codes, record.vault_password, salt=self.vault_salt(username),
+            cipher=self.cipher_name, keys=self.vault_keys,
         )
         return vault.to_bytes()
+
+    def vault_salt(self, username: str) -> bytes:
+        """The salt that seals this customer's vault; the same on every call."""
+        return self._rng.child(f"vault-salt|{username}").take(16)
 
     # -- login -----------------------------------------------------------------
 

@@ -26,7 +26,7 @@ from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
 from .protocol import read_amount, read_text, send
 from .two_way import MerchantCertificate
-from .vault import TicVault
+from .vault import TicVault, VaultKeys
 from .wire import Ciphertext, Envelope, F
 
 DEFAULT_REPLY_POLICY = "yes"
@@ -54,7 +54,8 @@ class ClientAgent(Actor):
     `payments` run sequentially, one session each. `reply_policy` is the
     scripted human: answer YES, answer NO, or never answer. A `merchant`
     switches the agent into the two-way flow: checkout, invoice, merchant
-    verification, then the ordinary payment inside it.
+    verification, then the ordinary payment inside it. `vault_keys` is the
+    world's vault key memo, shared with the bank that seals the vault.
     """
 
     def __init__(
@@ -70,6 +71,7 @@ class ClientAgent(Actor):
         merchant: Optional[str] = None,
         mode: str = "electronic-transfer",
         cipher: str = DEFAULT_CIPHER,
+        vault_keys: Optional[VaultKeys] = None,
     ):
         if reply_policy not in ("yes", "no", "ignore"):
             raise ValueError(f"unknown reply policy {reply_policy!r}")
@@ -84,6 +86,7 @@ class ClientAgent(Actor):
         self.mode = PayMode.from_name(mode)
         self.suite = CryptoSuite(cipher)
         self.vault: Optional[TicVault] = None
+        self.vault_keys = vault_keys if vault_keys is not None else VaultKeys()
         self.session: Optional[ClientSession] = None
         self.inflight: Optional[_InFlight] = None
         self.outcomes: List[str] = []
@@ -149,7 +152,7 @@ class ClientAgent(Actor):
             ctx.note("provision-ignored cause=vault-held")
             return
         try:
-            self.vault = TicVault.from_bytes(env.body.get(F.VAULT, b""))
+            self.vault = TicVault.from_bytes(env.body.get(F.VAULT, b""), keys=self.vault_keys)
         except WireError as exc:
             ctx.note(f"provision-rejected cause={exc}")
             return

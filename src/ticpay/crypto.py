@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import threading
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -93,16 +92,14 @@ def derive_pin_key(pin: Pin) -> bytes:
 
 
 class NonceSequence:
-    """Atomic counter nonce source; never repeats within a run."""
+    """Counter nonce source; never repeats within a run."""
 
     def __init__(self, start: int = 1):
         self._next = start
-        self._lock = threading.Lock()
 
     def next(self) -> bytes:
-        with self._lock:
-            value = self._next
-            self._next += 1
+        value = self._next
+        self._next += 1
         return value.to_bytes(NONCE_LEN, "big")
 
 

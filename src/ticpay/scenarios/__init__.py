@@ -51,6 +51,7 @@ from ..two_way import (
     MerchantBank,
     TwoWayGateway,
 )
+from ..vault import VaultKeys
 from ..wire import Channel
 
 SCHEMA_VERSION = 1
@@ -447,14 +448,23 @@ class World:
                 secrets[f"merchant-secret:{merchant_id}"] = record.secret
                 secrets[f"minfo-key:{merchant_id}"] = record.info_key()
             secrets[f"cert-key:{self.merchant_bank.name}"] = self.merchant_bank._cert_key
+        # A key derived under a salt the bank gave no customer (a tampered
+        # vault header) is named by that salt.
+        owners = {self.server.vault_salt(username): username for username in self.server.accounts}
+        for (_, salt), key in self.server.vault_keys.items():
+            secrets[f"vault-key:{owners.get(salt, salt.hex())}"] = key
         return secrets
 
 
 def build_world(spec: ScenarioSpec) -> World:
+    # One memo for the world: the bank derives each customer's vault key to
+    # seal the batch, and the device unlocks with that same result.
+    vault_keys = VaultKeys()
     server = BankServer(
         seed=spec.seed,
         cipher=spec.cipher,
         sms_deadline=spec.sms_deadline,
+        vault_keys=vault_keys,
     )
     plan: Dict[str, int] = {}
     for c in spec.clients:
@@ -497,6 +507,7 @@ def build_world(spec: ScenarioSpec) -> World:
             merchant=spec.merchant.merchant_id if spec.flow == "two-way" else None,
             mode=c.mode,
             cipher=spec.cipher,
+            vault_keys=vault_keys,
         )
         clients.append(client)
         sim.add_actor(client)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -92,7 +91,6 @@ class TicRegistry:
 
     def __init__(self):
         self._records: Dict[str, TicRecord] = {}  # keyed by code value, registry-wide
-        self._lock = threading.Lock()
         #: (account_id, code value) pairs that returned Accepted, in order.
         self.accepted_log: List[Tuple[str, str]] = []
 
@@ -121,27 +119,26 @@ class TicRegistry:
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = DeterministicRng(seed, f"tic|{account_id}|{CODE_LENGTH}|{ALPHABET_NAME}")
-        with self._lock:
-            fresh: List[TicCode] = []
-            seen = set()
-            redraws = 0
-            while len(fresh) < count:
-                value = self._draw(rng)
-                live = self._records.get(value)
-                collides = value in seen or (live is not None and live.state is TicState.ISSUED)
-                if collides:
-                    redraws += 1
-                    if redraws > REDRAW_BUDGET:
-                        raise CollisionExhaustion(
-                            f"could not draw {count} distinct codes within "
-                            f"{REDRAW_BUDGET} redraws"
-                        )
-                    continue
-                seen.add(value)
-                fresh.append(TicCode(value=value))
-            for code in fresh:
-                self._records[code.value] = TicRecord(code=code, account_id=account_id)
-            return TicBatch(account_id=account_id, codes=tuple(fresh))
+        fresh: List[TicCode] = []
+        seen = set()
+        redraws = 0
+        while len(fresh) < count:
+            value = self._draw(rng)
+            live = self._records.get(value)
+            collides = value in seen or (live is not None and live.state is TicState.ISSUED)
+            if collides:
+                redraws += 1
+                if redraws > REDRAW_BUDGET:
+                    raise CollisionExhaustion(
+                        f"could not draw {count} distinct codes within "
+                        f"{REDRAW_BUDGET} redraws"
+                    )
+                continue
+            seen.add(value)
+            fresh.append(TicCode(value=value))
+        for code in fresh:
+            self._records[code.value] = TicRecord(code=code, account_id=account_id)
+        return TicBatch(account_id=account_id, codes=tuple(fresh))
 
     def verify_and_consume(self, account_id: str, candidate) -> VerifyResult:
         """Accept and consume a live code, or reject with the internal reason.
@@ -150,17 +147,16 @@ class TicRegistry:
         generic denial to the outside so rejection is not an oracle.
         """
         value = getattr(candidate, "value", candidate)
-        with self._lock:
-            record = self._records.get(value)
-            if record is None:
-                return VerifyResult.rejected("unknown")
-            if record.state is TicState.CONSUMED:
-                return VerifyResult.rejected("already-used")
-            if record.account_id != account_id:
-                return VerifyResult.rejected("wrong-account")
-            record.transition(TicState.CONSUMED)
-            self.accepted_log.append((account_id, value))
-            return VerifyResult.ACCEPTED
+        record = self._records.get(value)
+        if record is None:
+            return VerifyResult.rejected("unknown")
+        if record.state is TicState.CONSUMED:
+            return VerifyResult.rejected("already-used")
+        if record.account_id != account_id:
+            return VerifyResult.rejected("wrong-account")
+        record.transition(TicState.CONSUMED)
+        self.accepted_log.append((account_id, value))
+        return VerifyResult.ACCEPTED
 
     def issued_values(self) -> List[str]:
         """All code values ever registered (white-box; for leakage scans)."""

@@ -11,11 +11,21 @@ name and a seal counter; code values, even the remaining count, live
 inside the sealed blob. The header is not authenticated, so parsing
 accepts only the one work factor and alphabet the system uses and a
 known cipher.
+
+The key is RFC 8018 PBKDF2-HMAC-SHA256 of the device password and the
+vault's salt, and `VaultKeys` is the only place it is derived. The bank
+seals a customer's batch under that key and the customer's device later
+unlocks the batch under the same key; in one simulated world both
+parties read one `VaultKeys`, so each key is derived once, when the bank
+seals. A memo belongs to one world and goes with it: a world built again
+at the same seed derives its keys again, and no key outlives the world
+that made it. A wrong password is another memo entry, so it derives a
+key of its own and the unlock fails closed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.pbkdf2 import PBKDF2HMAC
@@ -31,12 +41,29 @@ SALT_LEN = 16
 KDF_ITERATIONS = 2048  # simulation-grade work factor, not a production setting
 
 
-def _vault_key(password: str, salt: bytes) -> bytes:
-    # RFC 8018 PBKDF2-HMAC-SHA256, the same bytes as hashlib.pbkdf2_hmac;
-    # cryptography's bundled OpenSSL measured 0.44 ms a key against 0.97 ms
-    # for hashlib's system OpenSSL on a shared 2-vCPU Xeon VM.
-    kdf = PBKDF2HMAC(hashes.SHA256(), KEY_LEN, salt, KDF_ITERATIONS)
-    return kdf.derive(password.encode("utf-8"))
+class VaultKeys:
+    """The vault keys derived in one world, by (password, salt).
+
+    Build one per world and hand it to every party that seals or opens a
+    vault in that world; never share one between worlds.
+    """
+
+    def __init__(self):
+        self._keys: Dict[Tuple[str, bytes], bytes] = {}
+
+    def derive(self, password: str, salt: bytes) -> bytes:
+        key = self._keys.get((password, salt))
+        if key is None:
+            # RFC 8018 PBKDF2-HMAC-SHA256, the same bytes as hashlib.pbkdf2_hmac;
+            # cryptography's bundled OpenSSL measured 0.44 ms a key against
+            # 0.97 ms for hashlib's system OpenSSL on a shared 2-vCPU Xeon VM.
+            kdf = PBKDF2HMAC(hashes.SHA256(), KEY_LEN, salt, KDF_ITERATIONS)
+            key = self._keys[password, salt] = kdf.derive(password.encode("utf-8"))
+        return key
+
+    def items(self):
+        """((password, salt), key) for every key derived so far."""
+        return self._keys.items()
 
 
 class TicVault:
@@ -48,6 +75,7 @@ class TicVault:
         sealed: Optional[Ciphertext],
         seal_count: int,
         cipher: str = DEFAULT_CIPHER,
+        keys: Optional[VaultKeys] = None,
     ):
         if len(salt) != SALT_LEN:
             raise ValueError(f"salt must be {SALT_LEN} bytes")
@@ -56,6 +84,7 @@ class TicVault:
         self._seal_count = seal_count
         self._cipher_name = cipher
         self._suite = CryptoSuite(cipher, nonces=NonceSequence(start=seal_count + 1))
+        self._keys = keys if keys is not None else VaultKeys()
         self._key: Optional[bytes] = None
         self._values: Optional[List[str]] = None  # unused codes, oldest first; None while locked
 
@@ -68,13 +97,14 @@ class TicVault:
         password: str,
         salt: bytes,
         cipher: str = DEFAULT_CIPHER,
+        keys: Optional[VaultKeys] = None,
     ) -> "TicVault":
         """Build an unlocked vault around a fresh batch (may be empty)."""
-        vault = cls(bytes(salt), None, 0, cipher)  # _reseal sets the blob
+        vault = cls(bytes(salt), None, 0, cipher, keys)  # _reseal sets the blob
         values = [getattr(c, "value", c) for c in codes]
         for v in values:
             TicCode(value=v)  # validates symbols and length
-        vault._key = _vault_key(password, vault.salt)
+        vault._key = vault._keys.derive(password, vault.salt)
         vault._values = values
         vault._reseal()
         return vault
@@ -86,8 +116,9 @@ class TicVault:
         return self._key is None
 
     def unlock(self, password: str) -> None:
-        """Derive the key and open the blob; wrong password fails closed."""
-        key = _vault_key(password, self.salt)
+        """Key from the memo, derived on first use, opens the blob; a wrong
+        password fails closed."""
+        key = self._keys.derive(password, self.salt)
         try:
             plaintext = self._suite.open_blob(self._sealed, KeyRole.VAULT_KEYED, key, "vault")
         except IntegrityFailure as exc:
@@ -150,7 +181,7 @@ class TicVault:
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "TicVault":
+    def from_bytes(cls, data: bytes, keys: Optional[VaultKeys] = None) -> "TicVault":
         reader = Reader(data)
         if reader.take(2) != VAULT_MAGIC:
             raise WireError("bad vault magic")
@@ -170,4 +201,4 @@ class TicVault:
         if sealed.role is not KeyRole.VAULT_KEYED:
             raise WireError("vault blob is not vault-keyed")
         reader.expect_end()
-        return cls(salt=salt, sealed=sealed, seal_count=seal_count, cipher=cipher)
+        return cls(salt=salt, sealed=sealed, seal_count=seal_count, cipher=cipher, keys=keys)

@@ -9,6 +9,7 @@ and on a multi-client world.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 
 from ticpay.checks import MIN_SECRET_LEN, LeakFinding, leakage_scan
 from ticpay.crypto import derive_shared_key
-from ticpay.netsim import WireRecord
+from ticpay.netsim import AdversaryScript, Rule, Tamper, WireRecord
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec, parse_spec
+from ticpay.vault import KDF_ITERATIONS
 from ticpay.wire import Channel
 
 
@@ -157,6 +159,37 @@ def test_two_way_worlds_scan_the_merchant_keys():
     # Once on the wire, the sealing key is found.
     leaked = log_of(b"blob:" + secrets["minfo-key:shopzone"])
     assert leakage_scan(leaked, secrets) == [LeakFinding(10, "minfo-key:shopzone", 5)]
+
+
+def test_worlds_scan_the_vault_keys():
+    # The key that seals a customer's vault stays with the bank that seals
+    # it and the device that opens it. It never crosses the wire, whatever
+    # the cipher, and the scan names it by its customer.
+    for cipher in ("aes-gcm", "null"):
+        world = ran(replace(load_spec(find_bundled("happy-oneway")), cipher=cipher))
+        secrets = world.secrets()
+        salt = world.server.vault_salt("alice")
+        assert secrets["vault-key:alice"] == hashlib.pbkdf2_hmac(
+            "sha256", b"alice-vault", salt, KDF_ITERATIONS, 32)
+        assert [s for s in secrets if s.startswith("vault-key:")] == ["vault-key:alice"]
+        assert not [f for f in leakage_scan(world.sim.wire_log, secrets)
+                    if f.secret_id.startswith("vault-key:")]
+    leaked = log_of(b"blob:" + secrets["vault-key:alice"])
+    assert leakage_scan(leaked, secrets) == [LeakFinding(10, "vault-key:alice", 5)]
+
+
+def test_a_key_under_a_tampered_salt_is_named_by_its_salt():
+    # Body offset 17 is the first salt byte of the sealed vault: a 6-byte
+    # field header, then magic 2, version 1 and seal count 8.
+    rule = Rule(Tamper(edits=((17, 1),)), msg_type="tic_provision", nth=1)
+    spec = replace(load_spec(find_bundled("happy-oneway")),
+                   adversary=AdversaryScript(rules=(rule,)))
+    world = ran(spec)
+    salt = bytearray(world.server.vault_salt("alice"))
+    salt[0] ^= 1
+    names = [s for s in world.secrets() if s.startswith("vault-key:")]
+    assert names == ["vault-key:alice", f"vault-key:{bytes(salt).hex()}"]
+    assert world.clients[0].outcomes == ["vault-failure"]
 
 
 def crowd_spec(clients: int, cipher: str):

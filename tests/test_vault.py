@@ -1,4 +1,5 @@
-"""Sealed TIC store: consume-once picks, fail-closed unlock, stable bytes."""
+"""Sealed TIC store: consume-once picks, fail-closed unlock, stable bytes,
+and one PBKDF2 derivation per vault key in a world."""
 
 from __future__ import annotations
 
@@ -9,9 +10,12 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ticpay.vault
+from ticpay.auth_server import BankServer
 from ticpay.errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
+from ticpay.scenarios import find_bundled, list_bundled, load_spec, parse_spec, run_spec
 from ticpay.tic_registry import TicRegistry
-from ticpay.vault import KDF_ITERATIONS, SALT_LEN, TicVault, _vault_key
+from ticpay.vault import KDF_ITERATIONS, SALT_LEN, TicVault, VaultKeys
 from ticpay.wire import Reader
 
 SALT = bytes(range(SALT_LEN))
@@ -43,7 +47,9 @@ def open_sealed_blob(vault: TicVault, password: str) -> list:
 @example("", SALT)
 @example("pässwörd-ключ-🔑", SALT)
 def test_vault_key_matches_the_hashlib_reference(password, salt):
-    assert _vault_key(password, salt) == reference_key(password, salt)
+    keys = VaultKeys()
+    assert keys.derive(password, salt) == reference_key(password, salt)
+    assert keys.derive(password, salt) == reference_key(password, salt)  # from the memo
 
 
 def test_provision_and_unlock_round_trip():
@@ -197,3 +203,87 @@ def test_from_bytes_rejects_another_work_factor_alphabet_cipher_or_key_role():
     at_role = at_cipher + 2 + len("aes-gcm") + 4
     with pytest.raises(WireError, match="vault-keyed"):
         TicVault.from_bytes(flip(at_role, 0x01))
+
+
+# -- one derivation per vault key in a world ---------------------------------------
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts PBKDF2 derivations: one element per `derive` on a PBKDF2HMAC."""
+    real = ticpay.vault.PBKDF2HMAC
+    done = []
+
+    class Counting:
+        def __init__(self, *args, **kwargs):
+            self._kdf = real(*args, **kwargs)
+
+        def derive(self, material):
+            done.append(material)
+            return self._kdf.derive(material)
+
+    monkeypatch.setattr(ticpay.vault, "PBKDF2HMAC", Counting)
+    return done
+
+
+def three_client_spec():
+    # carol gets no codes, so the bank provisions two of the three devices.
+    return parse_spec({
+        "schema": 1,
+        "name": "three",
+        "flow": "one-way",
+        "seed": 5,
+        "clients": [{
+            "username": name,
+            "password": f"{name}-pw",
+            "pin": f"{0x00112233445566aa + i:016x}",
+            "cell": f"+1555000{i:04d}",
+            "account_id": f"ACC-{1001 + i}",
+            "balance": 10_000,
+            "vault_password": f"{name}-vault",
+            "tic_batch": 2 - i if i < 2 else 0,
+            "reply": "yes",
+            "payments": [{"amount": 10 + i, "payee": "ACC-9914"}],
+        } for i, name in enumerate(("alice", "bob", "carol"))],
+    })
+
+
+def provisioned(report) -> int:
+    return sum(1 for e in report.world.sim.trace.events
+               if e.kind == "note" and e.note.startswith("provisioned user="))
+
+
+@pytest.mark.parametrize("name", [entry["name"] for entry in list_bundled()] + ["three"])
+def test_a_world_derives_one_key_per_provisioned_client(name, derivations):
+    spec = three_client_spec() if name == "three" else load_spec(find_bundled(name))
+    report = run_spec(spec)
+    assert provisioned(report) >= 1
+    assert len(derivations) == provisioned(report)
+    if name == "three":
+        assert provisioned(report) == 2
+        assert report.world.clients[0].outcomes == ["committed"]
+
+
+def test_worlds_built_from_one_spec_share_no_keys(derivations):
+    spec = three_client_spec()
+    first = run_spec(spec)
+    once = len(derivations)
+    second = run_spec(spec)
+    assert once == provisioned(first) and len(derivations) == 2 * once
+    assert first.world.server.vault_keys is not second.world.server.vault_keys
+    assert BankServer().vault_keys is not BankServer().vault_keys
+
+
+def test_a_warm_memo_still_fails_closed_on_a_wrong_password(derivations):
+    keys = VaultKeys()
+    data = TicVault.provision(CODES, PASSWORD, salt=SALT, keys=keys).to_bytes()
+    vault = TicVault.from_bytes(data, keys=keys)
+    with pytest.raises(IntegrityFailure, match="password"):
+        vault.unlock("orchid-battery-8")
+    assert vault.locked
+    with pytest.raises(VaultLocked):
+        vault.codes()
+    assert len(derivations) == 2  # the seal, then the wrong password's own key
+    vault.unlock(PASSWORD)
+    assert len(derivations) == 2  # the seal's key, read from the memo
+    assert [c.value for c in vault.codes()] == CODES
