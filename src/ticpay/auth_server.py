@@ -445,12 +445,6 @@ class BankActor(Actor):
         self.name = server.name
         self.provision_plan = dict(provision_plan or {})
         self.gateway = None  # wired by the world builder for two-way runs
-        self._handlers = {
-            "login_request": self._on_login,
-            "mode_select": self._on_mode_select,
-            "payment_submit": self._on_submit,
-            "sms_reply": self._on_sms_reply,
-        }
 
     # -- helpers -------------------------------------------------------------
 
@@ -492,11 +486,13 @@ class BankActor(Actor):
             send(ctx, "tic_provision", username, {F.VAULT: vault_bytes})
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
-        handler = self._handlers.get(env.msg_type)
-        if handler is None:
+        handler = self._HANDLERS.get(env.msg_type)
+        if handler is not None:
+            handler(self, ctx, env)
+        elif self.gateway is not None and env.msg_type in self.gateway.HANDLED:
+            self.gateway.on_message(ctx, env)
+        else:
             ctx.note(f"ignored msg_type={env.msg_type}")
-            return
-        handler(ctx, env)
 
     def on_malformed(self, ctx: Ctx, env: Envelope) -> None:
         # A submission that does not even parse gets the same opaque denial
@@ -588,3 +584,12 @@ class BankActor(Actor):
             ctx.note(f"sms-reply-ignored txn={txn_id} cause={result.reason}")
             return
         self._finish_txn(ctx, result)
+
+    # One-way message types; an attached gateway takes the two-way ones.
+    # Shared by every bank: bound methods per instance would be a cycle.
+    _HANDLERS = {
+        "login_request": _on_login,
+        "mode_select": _on_mode_select,
+        "payment_submit": _on_submit,
+        "sms_reply": _on_sms_reply,
+    }

@@ -98,17 +98,6 @@ class ClientAgent(Actor):
         self._request_counter = 0
         self.request_id = ""
         self._invoice: Optional[dict] = None
-        self._handlers = {
-            "tic_provision": self._on_provision,
-            "login_response": self._on_login_response,
-            "mode_ack": self._on_mode_ack,
-            "submit_ack": self._on_submit_ack,
-            "sms_challenge": self._on_sms_challenge,
-            "txn_result": self._on_txn_result,
-            "invoice": self._on_invoice,
-            "merchant_auth_ack": self._on_merchant_auth_ack,
-            "payment_notice": self._on_payment_notice,
-        }
 
     # -- flow control ---------------------------------------------------------
 
@@ -137,11 +126,11 @@ class ClientAgent(Actor):
     # -- lifecycle ----------------------------------------------------------------
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
-        handler = self._handlers.get(env.msg_type)
+        handler = self._HANDLERS.get(env.msg_type)
         if handler is None:
             ctx.note(f"ignored msg_type={env.msg_type}")
             return
-        handler(ctx, env)
+        handler(self, ctx, env)
 
     # -- handlers --------------------------------------------------------------------
 
@@ -336,3 +325,17 @@ class ClientAgent(Actor):
         invoice = read_text(env.body, F.INVOICE_NUMBER)
         amount = read_amount(env.body)
         ctx.note(f"payment-notice invoice={invoice} amount={amount}")
+
+    # Message type -> handler, shared by every agent: a table of bound
+    # methods per instance would make each agent refer to itself.
+    _HANDLERS = {
+        "tic_provision": _on_provision,
+        "login_response": _on_login_response,
+        "mode_ack": _on_mode_ack,
+        "submit_ack": _on_submit_ack,
+        "sms_challenge": _on_sms_challenge,
+        "txn_result": _on_txn_result,
+        "invoice": _on_invoice,
+        "merchant_auth_ack": _on_merchant_auth_ack,
+        "payment_notice": _on_payment_notice,
+    }

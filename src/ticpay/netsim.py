@@ -28,6 +28,13 @@ The trace is walked in one place: `ProtocolTrace.chunks` yields its JSON
 lines TRACE_CHUNK events at a time. The digest, the export and the CLI's
 trace file read those chunks, so the digest and the trace file never
 hold all of a trace's lines in memory at once.
+
+Ownership runs one way. Nothing a world owns points back at its owner:
+the simulation holds its actors, an actor holds its own state, and a
+`Ctx` is made for one handler call and held by no one after it, so an
+actor never keeps a `Ctx` past its handler. A world's object graph thus
+has no cycle, and a dropped run is freed by reference counting alone,
+never by the cycle collector.
 """
 
 from __future__ import annotations
@@ -252,7 +259,11 @@ class Actor:
 
 
 class Ctx:
-    """The handle an actor uses to act on the world; one per actor."""
+    """The handle an actor uses to act on the world, made for one handler
+    call. The simulation keeps none, so an actor must not keep one either:
+    a `Ctx` held past its handler would point the world back at itself."""
+
+    __slots__ = ("_sim", "actor_name")
 
     def __init__(self, sim: "Simulation", actor_name: str):
         self._sim = sim
@@ -297,7 +308,6 @@ class Simulation:
         self.wire_log: List[WireRecord] = []
         self._occurrences: Dict[Tuple[Channel, str], int] = {}
         self._actors: Dict[str, Actor] = {}
-        self._ctxs: Dict[str, Ctx] = {}
         self._order: List[str] = []
         self._heap: List[Tuple[int, int, str, tuple]] = []
         self._tie = 0
@@ -315,7 +325,6 @@ class Simulation:
         if actor.name in self._actors:
             raise ScenarioError(f"duplicate actor name {actor.name!r}")
         self._actors[actor.name] = actor
-        self._ctxs[actor.name] = Ctx(self, actor.name)
         self._order.append(actor.name)
 
     # -- event plumbing ----------------------------------------------------
@@ -424,7 +433,7 @@ class Simulation:
                                note=str(error))
             handler = actor.on_malformed
         try:
-            handler(self._ctxs[actor.name], env)
+            handler(Ctx(self, actor.name), env)
         except Exception as exc:
             raise ActorFault(actor.name, exc, seq) from exc
 
@@ -443,7 +452,7 @@ class Simulation:
             self._push(max(at, self.now), "inject", payload)
         for name in self._order:
             try:
-                self._actors[name].on_start(self._ctxs[name])
+                self._actors[name].on_start(Ctx(self, name))
             except Exception as exc:
                 raise ActorFault(name, exc, 0) from exc
 
@@ -472,7 +481,7 @@ class Simulation:
                 seq = self._record("timer", receiver=actor_name, note=label)
                 if actor is not None:
                     try:
-                        actor.on_timer(self._ctxs[actor_name], label)
+                        actor.on_timer(Ctx(self, actor_name), label)
                     except Exception as exc:
                         raise ActorFault(actor_name, exc, seq) from exc
             if self.after_event is not None:

@@ -67,19 +67,21 @@ _REQUIRED = object()
 class _Reader:
     """One scenario mapping and its path, recording every key it reads.
 
-    Readers opened from one another share a list, so that once a whole
-    document is parsed `reject_unread` can fail on the first key that no
-    reader read. The parser is thus the only list of known fields.
+    Readers opened from one another share a list that holds, per reader in
+    the order they were opened, its mapping, path and set of keys read, so
+    that once a whole document is parsed `reject_unread` can fail on the
+    first key that no reader read. The parser is thus the only list of
+    known fields. The list holds no reader, so no reader is in a cycle.
     """
 
-    def __init__(self, mapping, path: str, opened: List["_Reader"]):
+    def __init__(self, mapping, path: str, opened: List[Tuple[dict, str, set]]):
         if not isinstance(mapping, dict):
             raise ScenarioError(f"{path}: expected a mapping")
         self.mapping = mapping
         self.path = path
         self.read: set = set()
         self.opened = opened
-        opened.append(self)
+        opened.append((mapping, path, self.read))
 
     def nested(self, mapping, name: str) -> "_Reader":
         return _Reader(mapping, f"{self.path}.{name}", self.opened)
@@ -132,10 +134,10 @@ class _Reader:
             raise ScenarioError(f"{self.path}.mode: {exc}") from None
 
     def reject_unread(self) -> None:
-        for reader in self.opened:
-            for key in reader.mapping:
-                if key not in reader.read:
-                    raise ScenarioError(f"{reader.path}.{key}: unknown field")
+        for mapping, path, read in self.opened:
+            for key in mapping:
+                if key not in read:
+                    raise ScenarioError(f"{path}.{key}: unknown field")
 
 
 def _reply_policy(value, path: str) -> str:

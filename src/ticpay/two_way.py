@@ -329,14 +329,14 @@ class TwoWayGateway:
     HANDLED = frozenset(received_by(BANK, two_way_only=True))
 
     def __init__(self, bank_actor, known_banks: Optional[set] = None):
-        self.bank_actor = bank_actor
-        self.server = bank_actor.server
+        # The bank actor and its server point here; the gateway keeps only
+        # the bank's name, so the wiring has no cycle.
+        self.bank_name = bank_actor.name
         self.known_banks = set(known_banks or ())
         self.requests: Dict[str, _RequestState] = {}
         self._notice_counter = 0
         bank_actor.gateway = self
-        bank_actor._handlers.update(dict.fromkeys(self.HANDLED, self.on_message))
-        self.server.payment_gate = self.allows
+        bank_actor.server.payment_gate = self.allows
 
     def allows(self, request_id: str) -> bool:
         state = self.requests.get(request_id)
@@ -410,7 +410,7 @@ class TwoWayGateway:
             ctx.note(f"settle-skipped request={txn.request_id}")
             return
         self._notice_counter += 1
-        notice_id = f"{self.bank_actor.name}-N{self._notice_counter:04d}"
+        notice_id = f"{self.bank_name}-N{self._notice_counter:04d}"
         # Funds already moved into clearing at commit; the notice tells the
         # merchant bank to book its side, once, keyed by notice id.
         send(ctx, "settle_notice", state.merchant_bank_id, {

@@ -20,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ticpay.errors import WireError
-from ticpay.netsim import Actor, Simulation, digest16
+from ticpay.netsim import Actor, Ctx, Simulation, digest16
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec
 from ticpay.wire import Channel, Envelope, decode_fields, peek_header
 
@@ -31,7 +31,7 @@ def sent(env: Envelope):
     """(data, envelope, error, digest) that one ctx.send(env) puts on the heap."""
     sim = Simulation()
     sim.add_actor(Actor())
-    sim._ctxs["actor"].send(env)
+    Ctx(sim, "actor").send(env)
     (_at, _tie, kind, payload), = sim._heap
     assert kind == "send"
     return payload

@@ -264,3 +264,26 @@ def test_an_invoice_outside_its_checkout_is_ignored():
                                                     nth=1))):
         assert pays_once(report), report.render()
         assert "alice: unexpected-invoice ignored" in notes(report.world.sim)
+
+
+# Replays that still cost the payment or count it twice. The client acts on
+# any mode_ack, merchant_auth_ack and txn_result, and the gateway replaces a
+# request's state when its merchant_auth_request comes again. Each test
+# asserts the untouched run's outcome; the per-party automata of ROADMAP
+# item 12 are to make them pass. The outcome each gives today is in the
+# comment beside it.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="no party matches a message to its outstanding request "
+                          "(ROADMAP item 12)")
+@pytest.mark.parametrize("name, msg_type, delay", [
+    ("happy-oneway", "txn_result", 5),  # ['committed', 'committed']
+    ("happy-twoway", "txn_result", 5),  # ['committed', 'committed']
+    ("happy-oneway", "mode_select", 2),  # ['mode-rejected:wrong-phase', 'aborted']
+    ("happy-twoway", "mode_select", 2),  # ['mode-rejected:wrong-phase', 'aborted']
+    ("happy-twoway", "merchant_auth_ack", 2),  # ['mode-rejected:wrong-phase', 'aborted']
+    # ['submit-denied', 'mode-rejected:wrong-phase']
+    ("happy-twoway", "merchant_auth_request", 6),
+])
+def test_a_replayed_request_or_reply_leaves_the_outcome_alone(name, msg_type, delay):
+    report = bundled_run(name, Rule(Replay(delay=delay), msg_type=msg_type, nth=1))
+    assert [c.outcomes for c in report.world.clients] == [["committed"]]

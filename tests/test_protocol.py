@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 from ticpay.checks import MERCHANT_SCHEMAS, conformance_check
-from ticpay.netsim import AdversaryScript
+from ticpay.netsim import AdversaryScript, Ctx
 from ticpay.protocol import (
     BANK,
     CLIENT,
@@ -179,7 +179,7 @@ def test_every_crowd_send_matches_its_row(flow):
 def answered(world: World, actor) -> set:
     """The message types `actor` hands to a handler rather than noting and
     ignoring, probed with one empty-bodied envelope of each type."""
-    ctx = world.sim._ctxs[actor.name]
+    ctx = Ctx(world.sim, actor.name)
     out = set()
     for msg_type in sorted(MSG_TYPES):
         row = MESSAGES[msg_type]

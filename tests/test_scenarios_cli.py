@@ -257,6 +257,15 @@ def test_an_option_nothing_reads_fails_with_its_path(make, keys, path):
     expect_error(raw, f"{path}: unknown field")
 
 
+def test_the_unknown_field_reported_is_the_first_in_reading_order():
+    raw = minimal_raw(extra=1)
+    raw["clients"][0]["colour"] = "red"
+    raw["clients"][0]["payments"][0]["invoice"] = "x"
+    expect_error(raw, "scenario.extra: unknown field")
+    del raw["extra"]
+    expect_error(raw, "scenario.clients[0].colour: unknown field")
+
+
 def test_message_types_and_modes_name_what_the_protocol_knows():
     expect_error(minimal_raw(adversary={"rules": [{"action": "drop",
                                                    "msg_type": "payment_sumbit"}]}),
@@ -571,8 +580,7 @@ def test_a_raising_handler_is_a_failing_verdict_with_its_artifacts(tmp_path, mon
     def boom(self, ctx, env):
         raise RuntimeError("boom")
 
-    # Handlers are bound when the agent is built, so patch the class first.
-    monkeypatch.setattr(ClientAgent, "_on_txn_result", boom)
+    monkeypatch.setitem(ClientAgent._HANDLERS, "txn_result", boom)
     report = run_spec(load_spec(find_bundled("happy-oneway")))
     result = next(r for r in report.results if r.name == "actor-fault")
     last = next(e for e in reversed(report.world.sim.trace.events) if e.kind == "deliver")

@@ -88,3 +88,18 @@ def test_a_flipped_key_role_fails_as_an_integrity_check(name, msg_type, offset, 
         spec, run_spec(spec), grid.tampers(lambda body: [offset], (0x01,))) if m == msg_type)
     notes = [e.note for e in run_spec(tampered).world.sim.trace.events if e.kind == "note"]
     assert outcome in notes
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the invoice's amount is not authenticated (ROADMAP item 14)")
+def test_a_tampered_invoice_amount_is_never_paid():
+    # Body offset 12 is the low bit of AMOUNT's second-lowest byte: 4,999
+    # (0x1387) becomes 4,743 (0x1287). Today the bank commits 4,743 and the
+    # merchant books ('shopzone-INV0001', 4743). Only 4,999 may be paid.
+    spec = load_spec(find_bundled("happy-twoway"))
+    tampered = next(s for m, _, s in grid.attacked_specs(
+        spec, run_spec(spec), grid.tampers(lambda body: [12], (0x01,))) if m == "invoice")
+    report = run_spec(tampered)
+    paid = [amount for _, amount in report.world.merchant_agent.confirmations]
+    paid += [amount for _account, amount, _payee in grid.committed(report)]
+    assert set(paid) <= {4999}, paid
