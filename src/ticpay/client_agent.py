@@ -4,11 +4,17 @@ The agent mirrors the server's session phases from its own side: it
 logs in, unwraps the PIN-wrapped session key, selects a payment mode,
 then spends one vault code per transaction — the code encrypts the
 order, the session key encrypts the code, and neither ever leaves the
-device in the clear. SMS prompts are answered only for transactions
-this agent actually started; anything else is ignored as a spoof.
-Likewise a login response, an invoice or a submission ack is acted on
-only while the agent's own request for it is outstanding, so a replayed
-or injected copy cannot restart or repeat a step.
+device in the clear.
+
+The agent acts on an answer only while it is due. Its due set holds the
+(answer type, request id) of each answer that its outstanding requests
+expect, read off the protocol table's answer edges: sending a request
+fills it, a finished session empties it, and an answer is taken off it
+before its handler runs. Any other answer is noted as
+`unexpected-<type> ignored` and dropped, so a replayed or injected copy
+cannot restart or repeat a step. An SMS prompt must also match the
+transaction this agent started; any other is ignored as a spoof and
+leaves the genuine prompt due.
 
 For two-way purchases the agent first asks its bank to authenticate
 the merchant and refuses to send a single payment byte until the
@@ -18,13 +24,13 @@ verdict is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin
 from .errors import IntegrityFailure, VaultEmpty, VaultLocked, WireError
 from .netsim import Actor, Ctx
 from .payment import PayMode, PaymentOrder
-from .protocol import read_amount, read_text, send
+from .protocol import ANSWERS, MESSAGES, Value, ignore_unexpected, read_amount, read_text, send
 from .two_way import MerchantCertificate
 from .vault import TicVault, VaultKeys
 from .wire import Ciphertext, Envelope, F
@@ -38,14 +44,6 @@ class ClientSession:
 
     cookie: str
     secret_key: object
-    phase: str = "logged-in"  # logged-in | closed
-
-
-@dataclass
-class _InFlight:
-    order: PaymentOrder
-    txn_id: Optional[str] = None  # learned from submit_ack or the SMS prompt
-    replied: bool = False
 
 
 class ClientAgent(Actor):
@@ -53,9 +51,10 @@ class ClientAgent(Actor):
 
     `payments` run sequentially, one session each. `reply_policy` is the
     scripted human: answer YES, answer NO, or never answer. A `merchant`
-    switches the agent into the two-way flow: checkout, invoice, merchant
-    verification, then the ordinary payment inside it. `vault_keys` is the
-    world's vault key memo, shared with the bank that seals the vault.
+    switches the agent into the two-way flow: its one session checks out,
+    the invoice supplies the order, the bank verifies the merchant, and the
+    ordinary payment runs inside it. `vault_keys` is the world's vault key
+    memo, shared with the bank that seals the vault.
     """
 
     def __init__(
@@ -88,40 +87,44 @@ class ClientAgent(Actor):
         self.vault: Optional[TicVault] = None
         self.vault_keys = vault_keys if vault_keys is not None else VaultKeys()
         self.session: Optional[ClientSession] = None
-        self.inflight: Optional[_InFlight] = None
         self.outcomes: List[str] = []
-        self._queue: List[PaymentOrder] = list(payments or [])
-        # Set while the request each reply answers is outstanding.
-        self._awaiting_login = False
-        self._awaiting_invoice = False
-        self._awaiting_ack = False
+        # Orders still to start, one session each. A two-way agent holds one
+        # checkout, whose order (None until then) its invoice supplies.
+        self._queue: List[Optional[PaymentOrder]] = (
+            [None] if merchant is not None else list(payments or []))
+        self.order: Optional[PaymentOrder] = None  # what the current session pays
+        self.txn_id: Optional[str] = None  # learned from submit_ack or the SMS prompt
+        # (answer type, request id) for every answer an outstanding request expects.
+        self._due: Set[Tuple[str, str]] = set()
         self._request_counter = 0
         self.request_id = ""
-        self._invoice: Optional[dict] = None
 
     # -- flow control ---------------------------------------------------------
 
+    def _send(self, ctx: Ctx, msg_type: str, receiver: str,
+              fields: Optional[Dict[F, Value]] = None, cookie: str = "",
+              delay: int = 0) -> None:
+        """Send under the current request id; each answer the table says
+        `msg_type` expects becomes due."""
+        self._due.update((answer, self.request_id) for answer in ANSWERS.get(msg_type, ()))
+        send(ctx, msg_type, receiver, fields, cookie=cookie, request_id=self.request_id,
+             delay=delay)
+
     def _begin_next(self, ctx: Ctx) -> None:
-        """Start a session if there is work: a queued payment or a checkout."""
-        if self.merchant is None and not self._queue:
+        """Start a session for the head of the queue, if there is one. It
+        leaves the queue now: retrying a failed attempt with the same broken
+        factor would loop forever."""
+        if not self._queue:
             return
+        self.order = self._queue.pop(0)
         self.session = None
-        self.inflight = None
-        self._awaiting_login = True
-        send(ctx, "login_request", self.bank, {F.USERNAME: self.name, F.PASSWORD: self.password})
+        self._send(ctx, "login_request", self.bank,
+                   {F.USERNAME: self.name, F.PASSWORD: self.password})
 
     def _finish_current(self, ctx: Ctx, outcome: str) -> None:
         self.outcomes.append(outcome)
-        if self.inflight is None and self.merchant is None and self._queue:
-            # Failed before composing, so the head of the queue is this very
-            # attempt. Abandon it: retrying with the same broken factor would
-            # loop forever.
-            self._queue.pop(0)
-        self.inflight = None
-        if self.session is not None:
-            self.session.phase = "closed"
-        if self.merchant is None and self._queue:
-            self._begin_next(ctx)
+        self._due.clear()  # a finished session has no request outstanding
+        self._begin_next(ctx)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -130,6 +133,14 @@ class ClientAgent(Actor):
         if handler is None:
             ctx.note(f"ignored msg_type={env.msg_type}")
             return
+        if MESSAGES[env.msg_type].answers:
+            due = (env.msg_type, env.request_id)
+            if due not in self._due:
+                ignore_unexpected(ctx, env.msg_type)
+                return
+            # Taken before the handler runs: the handler may finish the
+            # session and send the next request, whose answers must stay due.
+            self._due.remove(due)
         handler(self, ctx, env)
 
     # -- handlers --------------------------------------------------------------------
@@ -149,10 +160,6 @@ class ClientAgent(Actor):
         self._begin_next(ctx)
 
     def _on_login_response(self, ctx: Ctx, env: Envelope) -> None:
-        if not self._awaiting_login:
-            ctx.note("unexpected-login-response ignored")
-            return
-        self._awaiting_login = False
         if env.body.get(F.STATUS) != b"\x01":
             reason = read_text(env.body, F.REASON)
             ctx.note(f"login-failed cause={reason}")
@@ -169,29 +176,16 @@ class ClientAgent(Actor):
             return
         self.session = ClientSession(cookie=env.cookie, secret_key=secret_key)
         ctx.note("session-established")
-        if self.merchant is not None:
+        if self.order is None:  # a checkout: the merchant's invoice gives the order
             self._request_counter += 1
             self.request_id = f"{self.name}-R{self._request_counter:03d}"
-            self._awaiting_invoice = True
-            send(ctx, "checkout_request", self.merchant, request_id=self.request_id)
+            self._send(ctx, "checkout_request", self.merchant)
             return
-        self._select_mode(ctx, self._queue[0].mode)
+        self._select_mode(ctx)
 
-    def _select_mode(self, ctx: Ctx, mode: PayMode) -> None:
-        send(ctx, "mode_select", self.bank, {F.MODE: PayMode(mode).label},
-             cookie=self.session.cookie, request_id=self.request_id)
-
-    def _current_order(self) -> Optional[PaymentOrder]:
-        if self.merchant is not None:
-            if self._invoice is None:
-                return None
-            return PaymentOrder(
-                mode=self.mode,
-                payee_account=self._invoice["payee_ref"],
-                amount=self._invoice["amount"],
-                invoice_number=self._invoice["invoice_number"],
-            )
-        return self._queue[0] if self._queue else None
+    def _select_mode(self, ctx: Ctx) -> None:
+        self._send(ctx, "mode_select", self.bank, {F.MODE: PayMode(self.order.mode).label},
+                   cookie=self.session.cookie)
 
     def _on_mode_ack(self, ctx: Ctx, env: Envelope) -> None:
         if env.body.get(F.STATUS) != b"\x01":
@@ -199,18 +193,12 @@ class ClientAgent(Actor):
             ctx.note(f"mode-rejected cause={reason}")
             self._finish_current(ctx, f"mode-rejected:{reason}")
             return
-        order = self._current_order()
-        if order is None:
-            return
-        self._compose_and_submit(ctx, order)
+        self._compose_and_submit(ctx)
 
-    def _compose_and_submit(self, ctx: Ctx, order: PaymentOrder) -> None:
+    def _compose_and_submit(self, ctx: Ctx) -> None:
         """Spend one code: it keys the order, the session key wraps it.
 
         On any local failure (empty or locked vault) nothing is sent."""
-        if self.session is None or self.session.phase != "logged-in":
-            ctx.note("submit-skipped cause=session-closed")
-            return
         try:
             if self.vault is None:
                 raise VaultEmpty("no vault provisioned")
@@ -223,53 +211,39 @@ class ClientAgent(Actor):
             return
         cookie = self.session.cookie
         enc_tic = self.suite.encrypt_tic(code.value, self.session.secret_key, cookie)
-        enc_order = self.suite.encrypt_payment(order, code.value, cookie)
-        if self.merchant is None and self._queue:
-            self._queue.pop(0)
-        self.inflight = _InFlight(order=order)
-        self._awaiting_ack = True
-        ctx.note(f"submitted amount={order.amount}")
-        send(ctx, "payment_submit", self.bank, {
+        enc_order = self.suite.encrypt_payment(self.order, code.value, cookie)
+        self.txn_id = None
+        ctx.note(f"submitted amount={self.order.amount}")
+        self._send(ctx, "payment_submit", self.bank, {
             F.ENC_TIC: enc_tic.to_bytes(), F.ENC_ORDER: enc_order.to_bytes(),
-        }, cookie=cookie, request_id=self.request_id)
+        }, cookie=cookie)
 
     def _on_submit_ack(self, ctx: Ctx, env: Envelope) -> None:
-        if not self._awaiting_ack:
-            # Answers we never asked for (e.g. the bank denying a replayed
-            # copy of our submission) say nothing about our transaction.
-            ctx.note("unexpected-submit-ack ignored")
-            return
-        self._awaiting_ack = False
         if env.body.get(F.STATUS) != b"\x01":
             ctx.note("submit-denied")
             self._finish_current(ctx, "submit-denied")
             return
-        txn_id = read_text(env.body, F.TXN_ID)
-        if self.inflight is not None:
-            self.inflight.txn_id = txn_id
-        ctx.note(f"submit-accepted txn={txn_id}")
+        self.txn_id = read_text(env.body, F.TXN_ID)
+        ctx.note(f"submit-accepted txn={self.txn_id}")
 
     def _on_sms_challenge(self, ctx: Ctx, env: Envelope) -> None:
         txn_id = read_text(env.body, F.TXN_ID)
-        amount = read_amount(env.body)
-        flight = self.inflight
         # Only prompts matching the transaction this agent actually started
         # get an answer; amount is the cross-check because the prompt can
-        # outrun the submit_ack that names the txn id.
-        if flight is None or flight.replied or amount != flight.order.amount or (
-            flight.txn_id is not None and flight.txn_id != txn_id
-        ):
+        # outrun the submit_ack that names the txn id. Any other prompt
+        # leaves the genuine one due.
+        if read_amount(env.body) != self.order.amount or self.txn_id not in (None, txn_id):
+            self._due.add(("sms_challenge", env.request_id))
             ctx.note(f"sms-ignored txn={txn_id}")
             return
-        flight.txn_id = flight.txn_id or txn_id
+        self.txn_id = txn_id
         if self.reply_policy == "ignore":
             ctx.note(f"sms-unanswered txn={txn_id}")
             return
-        flight.replied = True
         decision = "YES" if self.reply_policy == "yes" else "NO"
         ctx.note(f"sms-replied txn={txn_id} decision={decision}")
-        send(ctx, "sms_reply", self.bank, {F.TXN_ID: txn_id, F.DECISION: decision},
-             request_id=self.request_id, delay=self.reply_delay)
+        self._send(ctx, "sms_reply", self.bank, {F.TXN_ID: txn_id, F.DECISION: decision},
+                   delay=self.reply_delay)
 
     def _on_txn_result(self, ctx: Ctx, env: Envelope) -> None:
         result = read_text(env.body, F.RESULT)
@@ -280,10 +254,6 @@ class ClientAgent(Actor):
     # -- two-way handlers ----------------------------------------------------------
 
     def _on_invoice(self, ctx: Ctx, env: Envelope) -> None:
-        if not self._awaiting_invoice or env.request_id != self.request_id:
-            ctx.note("unexpected-invoice ignored")
-            return
-        self._awaiting_invoice = False
         body = env.body
         try:
             cert = MerchantCertificate.from_bytes(body[F.CERT])
@@ -295,21 +265,17 @@ class ClientAgent(Actor):
         except (KeyError, ValueError, WireError) as exc:
             ctx.note(f"invoice-rejected cause={type(exc).__name__}")
             return
-        self._invoice = {
-            "invoice_number": invoice_number,
-            "amount": amount,
-            "payee_ref": cert.account_ref,
-            "merchant_id": cert.merchant_id,
-        }
+        self.order = PaymentOrder(mode=self.mode, payee_account=cert.account_ref,
+                                  amount=amount, invoice_number=invoice_number)
         ctx.note(f"invoice-received number={invoice_number} amount={amount}")
-        send(ctx, "merchant_auth_request", self.bank, {
+        self._send(ctx, "merchant_auth_request", self.bank, {
             F.CERT: body[F.CERT],
             F.ENC_MERCHANT_INFO: enc_info,
             F.MERCHANT_ID: cert.merchant_id,
             F.MERCHANT_BANK_ID: cert.merchant_bank_id,
             F.INVOICE_NUMBER: invoice_number,
             F.AMOUNT: amount,
-        }, cookie=self.session.cookie, request_id=self.request_id)
+        }, cookie=self.session.cookie)
 
     def _on_merchant_auth_ack(self, ctx: Ctx, env: Envelope) -> None:
         verdict = read_text(env.body, F.VERDICT)
@@ -319,7 +285,7 @@ class ClientAgent(Actor):
             self._finish_current(ctx, f"merchant-rejected:{reason or verdict}")
             return
         ctx.note("merchant-auth-positive")
-        self._select_mode(ctx, self.mode)
+        self._select_mode(ctx)
 
     def _on_payment_notice(self, ctx: Ctx, env: Envelope) -> None:
         invoice = read_text(env.body, F.INVOICE_NUMBER)

@@ -1,14 +1,18 @@
 """The protocol, stated once: one row per message type.
 
 Each row names the role that sends the message, the role that receives
-it, its channel, the body tags it may carry, and whether only the two-way
-flow (merchant prologue and settlement) sends it. This is the global-type
-view of multiparty session types (Honda, Yoshida & Carbone, POPL 2008):
-one global description, each party's part read off it. The rows run in
-the order in which one clean two-way payment delivers them; the one-way
-flow is the rows that are not two-way only. The conformance templates,
-the message types a scenario may name, the merchant schema and the
-customer bank's two-way handlers all derive from this table.
+it, its channel, the body tags it may carry, whether only the two-way
+flow (merchant prologue and settlement) sends it, and the request it
+answers, if it is an answer. This is the global-type view of multiparty
+session types (Honda, Yoshida & Carbone, POPL 2008): one global
+description, each party's part read off it. The rows run in the order in
+which one clean two-way payment delivers them; the one-way flow is the
+rows that are not two-way only. The conformance templates, the message
+types a scenario may name, the merchant schema, the customer bank's
+two-way handlers and `ANSWERS`, the answers each request expects, all
+derive from this table. A party accepts an answer only to a request it
+still has outstanding (Deniélou & Yoshida, ESOP 2012) and drops any other
+through `ignore_unexpected`.
 
 Every actor sends through `send`, which takes the channel from the
 message type's row, and reads field values through `read_text` and
@@ -19,7 +23,7 @@ field is handled as a missing one.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, NamedTuple, Optional, Union
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 from .netsim import Ctx
 from .wire import Channel, Envelope, F, u64
@@ -39,12 +43,13 @@ class Message(NamedTuple):
     channel: Channel
     tags: FrozenSet[int]  # body tags the message may carry
     two_way_only: bool
+    answers: Optional[str]  # the request type this message answers
 
 
 def _row(msg_type: str, sender: str, receiver: str, channel: Channel, *tags: F,
-         two_way_only: bool = False) -> Message:
+         two_way_only: bool = False, answers: Optional[str] = None) -> Message:
     return Message(msg_type, sender, receiver, channel, frozenset(map(int, tags)),
-                   two_way_only)
+                   two_way_only, answers)
 
 
 WEB, SMS, INTERBANK = Channel.WEB, Channel.SMS, Channel.INTERBANK
@@ -53,26 +58,30 @@ PROTOCOL = (
     _row("tic_provision", BANK, CLIENT, WEB, F.VAULT),
     _row("login_request", CLIENT, BANK, WEB, F.USERNAME, F.PASSWORD),
     _row("login_response", BANK, CLIENT, WEB,
-         F.STATUS, F.REASON, F.WRAPPED_KEY, F.WELCOME),
+         F.STATUS, F.REASON, F.WRAPPED_KEY, F.WELCOME, answers="login_request"),
     _row("checkout_request", CLIENT, MERCHANT, WEB, two_way_only=True),
     _row("invoice", MERCHANT, CLIENT, WEB,
          F.INVOICE_NUMBER, F.AMOUNT, F.MERCHANT_ID, F.MERCHANT_BANK_ID, F.CERT,
-         F.ENC_MERCHANT_INFO, two_way_only=True),
+         F.ENC_MERCHANT_INFO, two_way_only=True, answers="checkout_request"),
     _row("merchant_auth_request", CLIENT, BANK, WEB,
          F.INVOICE_NUMBER, F.AMOUNT, F.MERCHANT_ID, F.MERCHANT_BANK_ID, F.CERT,
          F.ENC_MERCHANT_INFO, two_way_only=True),
     _row("merchant_auth_forward", BANK, MERCHANT_BANK, INTERBANK,
          F.MERCHANT_ID, F.CERT, F.ENC_MERCHANT_INFO, two_way_only=True),
     _row("merchant_auth_verdict", MERCHANT_BANK, BANK, INTERBANK,
-         F.REASON, F.VERDICT, two_way_only=True),
-    _row("merchant_auth_ack", BANK, CLIENT, WEB, F.REASON, F.VERDICT, two_way_only=True),
+         F.REASON, F.VERDICT, two_way_only=True, answers="merchant_auth_forward"),
+    _row("merchant_auth_ack", BANK, CLIENT, WEB, F.REASON, F.VERDICT, two_way_only=True,
+         answers="merchant_auth_request"),
     _row("mode_select", CLIENT, BANK, WEB, F.MODE),
-    _row("mode_ack", BANK, CLIENT, WEB, F.STATUS, F.REASON),
+    _row("mode_ack", BANK, CLIENT, WEB, F.STATUS, F.REASON, answers="mode_select"),
     _row("payment_submit", CLIENT, BANK, WEB, F.ENC_TIC, F.ENC_ORDER),
-    _row("submit_ack", BANK, CLIENT, WEB, F.STATUS, F.REASON, F.TXN_ID),
-    _row("sms_challenge", BANK, CLIENT, SMS, F.TXN_ID, F.AMOUNT, F.ACCOUNT_REF, F.CELL),
+    _row("submit_ack", BANK, CLIENT, WEB, F.STATUS, F.REASON, F.TXN_ID,
+         answers="payment_submit"),
+    _row("sms_challenge", BANK, CLIENT, SMS, F.TXN_ID, F.AMOUNT, F.ACCOUNT_REF, F.CELL,
+         answers="payment_submit"),
     _row("sms_reply", CLIENT, BANK, SMS, F.TXN_ID, F.DECISION),
-    _row("txn_result", BANK, CLIENT, WEB, F.STATUS, F.REASON, F.TXN_ID, F.RESULT),
+    _row("txn_result", BANK, CLIENT, WEB, F.STATUS, F.REASON, F.TXN_ID, F.RESULT,
+         answers="payment_submit"),
     _row("payment_notice", BANK, CLIENT, WEB, F.AMOUNT, F.INVOICE_NUMBER,
          two_way_only=True),
     _row("settle_notice", BANK, MERCHANT_BANK, INTERBANK,
@@ -84,6 +93,12 @@ PROTOCOL = (
 
 MESSAGES: Dict[str, Message] = {message.msg_type: message for message in PROTOCOL}
 MSG_TYPES = frozenset(MESSAGES)  # every type the protocol sends
+
+# Request type -> the types that answer it, in table order.
+ANSWERS: Dict[str, Tuple[str, ...]] = {
+    request: tuple(message.msg_type for message in PROTOCOL if message.answers == request)
+    for request in dict.fromkeys(message.answers for message in PROTOCOL if message.answers)
+}
 
 # Delivered msg_type order of one clean payment, as each client sees it.
 TWO_WAY_TEMPLATE = [message.msg_type for message in PROTOCOL]
@@ -121,6 +136,11 @@ def send(ctx: Ctx, msg_type: str, receiver: str, fields: Optional[Dict[F, Value]
                 body[int(tag)] = value
     ctx.send(Envelope(ctx.actor_name, receiver, MESSAGES[msg_type].channel, msg_type,
                       body, cookie, request_id), delay)
+
+
+def ignore_unexpected(ctx: Ctx, msg_type: str) -> None:
+    """Note a message that is not due; the caller drops it."""
+    ctx.note(f"unexpected-{msg_type.replace('_', '-')} ignored")
 
 
 def read_text(body: Dict[int, bytes], tag: F) -> str:

@@ -29,7 +29,7 @@ from .auth_server import PendingTransaction
 from .crypto import DEFAULT_CIPHER, CryptoSuite, derive_shared_key
 from .errors import IntegrityFailure, NoCertificate, WireError
 from .netsim import Actor, Ctx, digest16
-from .protocol import BANK, Value, read_amount, read_text, received_by, send
+from .protocol import BANK, Value, ignore_unexpected, read_amount, read_text, received_by, send
 from .rng import DeterministicRng
 from .wire import Ciphertext, Envelope, F, KeyRole, Reader, str16, u64
 
@@ -323,7 +323,9 @@ class TwoWayGateway:
     two-way flow sends the customer bank, owns the post-commit settlement
     fan-out, and answers the server's payment gate: a request may pay only
     after a recorded positive verdict — retries always re-verify, nothing
-    is cached across requests.
+    is cached across requests. `requests` is the gateway's due set: a
+    request id is verified once, and a verdict is due only while its
+    request has none.
     """
 
     HANDLED = frozenset(received_by(BANK, two_way_only=True))
@@ -357,6 +359,11 @@ class TwoWayGateway:
         }, request_id=state.request_id)
 
     def _on_auth_request(self, ctx: Ctx, env: Envelope) -> None:
+        if env.request_id in self.requests:
+            # A request is verified once: a second copy must not replace the
+            # verdict already recorded for it.
+            ignore_unexpected(ctx, env.msg_type)
+            return
         merchant_bank = read_text(env.body, F.MERCHANT_BANK_ID)
         state = _RequestState(
             request_id=env.request_id,
@@ -382,7 +389,7 @@ class TwoWayGateway:
     def _on_verdict(self, ctx: Ctx, env: Envelope) -> None:
         state = self.requests.get(env.request_id)
         if state is None or state.verdict is not None:
-            ctx.note(f"verdict-ignored request={env.request_id}")
+            ignore_unexpected(ctx, env.msg_type)
             return
         if state.timer_token is not None:
             ctx.cancel_timer(state.timer_token)

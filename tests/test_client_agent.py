@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticpay.auth_server import BankActor, BankServer, TxnState
 from ticpay.client_agent import ClientAgent
@@ -12,6 +14,7 @@ from ticpay.crypto import Pin
 from ticpay.errors import IntegrityFailure
 from ticpay.netsim import AdversaryScript, Replay, Rule, Simulation, Tamper
 from ticpay.payment import PayMode, PaymentOrder
+from ticpay.protocol import TEMPLATES
 from ticpay.scenarios import find_bundled, load_spec, run_spec
 from ticpay.wire import Channel, Envelope, F
 
@@ -266,15 +269,10 @@ def test_an_invoice_outside_its_checkout_is_ignored():
         assert "alice: unexpected-invoice ignored" in notes(report.world.sim)
 
 
-# Replays that still cost the payment or count it twice. The client acts on
-# any mode_ack, merchant_auth_ack and txn_result, and the gateway replaces a
-# request's state when its merchant_auth_request comes again. Each test
-# asserts the untouched run's outcome; the per-party automata of ROADMAP
-# item 12 are to make them pass. The outcome each gives today is in the
-# comment beside it.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="no party matches a message to its outstanding request "
-                          "(ROADMAP item 12)")
+# Replays that cost the payment or counted it twice (the outcome each gave
+# is beside it) while the client acted on any mode_ack, merchant_auth_ack
+# and txn_result, and the gateway replaced a request's state when its
+# merchant_auth_request came again.
 @pytest.mark.parametrize("name, msg_type, delay", [
     ("happy-oneway", "txn_result", 5),  # ['committed', 'committed']
     ("happy-twoway", "txn_result", 5),  # ['committed', 'committed']
@@ -283,7 +281,34 @@ def test_an_invoice_outside_its_checkout_is_ignored():
     ("happy-twoway", "merchant_auth_ack", 2),  # ['mode-rejected:wrong-phase', 'aborted']
     # ['submit-denied', 'mode-rejected:wrong-phase']
     ("happy-twoway", "merchant_auth_request", 6),
+    # ['submit-denied', 'committed'], and a second TIC code spent
+    ("happy-twoway", "mode_ack", 3),
 ])
 def test_a_replayed_request_or_reply_leaves_the_outcome_alone(name, msg_type, delay):
     report = bundled_run(name, Rule(Replay(delay=delay), msg_type=msg_type, nth=1))
-    assert [c.outcomes for c in report.world.clients] == [["committed"]]
+    assert pays_once(report), report.render()
+    # and the device spent one code, as the untouched run does
+    (client,) = report.world.clients
+    assert client.vault.remaining() == bundled_run(name).world.clients[0].vault.remaining()
+
+
+# Any 1-3 replays of the first transmission of any of the flow's message
+# types, each at delay 1-40 with 1-2 copies.
+HAPPY_FLOWS = {"happy-oneway": "one-way", "happy-twoway": "two-way"}
+replay_attacks = st.sampled_from(sorted(HAPPY_FLOWS)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.builds(
+        lambda msg_type, delay, copies: Rule(Replay(delay, copies), msg_type=msg_type, nth=1),
+        st.sampled_from(TEMPLATES[HAPPY_FLOWS[name]]), st.integers(1, 40), st.integers(1, 2),
+    ), min_size=1, max_size=3),
+))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(replay_attacks)
+def test_no_mix_of_replays_changes_an_outcome(attack):
+    name, rules = attack
+    report = bundled_run(name, *rules)
+    assert not {r.name for r in report.results} & {"actor-fault", "step-budget"}, \
+        report.render()
+    assert [c.outcomes for c in report.world.clients] == [["committed"]], rules

@@ -20,6 +20,7 @@ import yaml
 from ticpay.checks import MERCHANT_SCHEMAS, conformance_check
 from ticpay.netsim import AdversaryScript, Ctx
 from ticpay.protocol import (
+    ANSWERS,
     BANK,
     CLIENT,
     MERCHANT,
@@ -86,6 +87,32 @@ def test_one_row_per_message_type_and_every_tag_has_a_row():
     allowed = set().union(*(row.tags for row in PROTOCOL))
     assert {int(tag) for tag in F} <= allowed
     assert allowed <= {int(tag) for tag in F}
+
+
+# -- the answer edges ------------------------------------------------------------------
+
+
+def test_each_request_expects_the_answers_that_name_it():
+    assert ANSWERS == {
+        "login_request": ("login_response",),
+        "checkout_request": ("invoice",),
+        "merchant_auth_forward": ("merchant_auth_verdict",),
+        "merchant_auth_request": ("merchant_auth_ack",),
+        "mode_select": ("mode_ack",),
+        "payment_submit": ("submit_ack", "sms_challenge", "txn_result"),
+    }
+
+
+def test_an_answer_goes_back_the_way_its_request_came():
+    for row in PROTOCOL:
+        if row.answers:
+            request = MESSAGES[row.answers]
+            assert (row.sender, row.receiver) == (request.receiver, request.sender), row
+
+
+def test_a_client_receives_answers_and_two_pushes_only():
+    pushes = [m.msg_type for m in PROTOCOL if m.receiver == CLIENT and not m.answers]
+    assert pushes == ["tic_provision", "payment_notice"]
 
 
 # -- the codec ------------------------------------------------------------------------

@@ -9,7 +9,9 @@ message type in both happy flows:
   - the transmission is dropped, or replayed once after 1, 3, 18 or 40
     seconds.
 Every run must end in a report with no `actor-fault` and no `step-budget`,
-and commit nothing the untouched run does not commit.
+and commit nothing the untouched run does not commit. A replay must also
+leave each client's outcomes those of the untouched run; a drop may stall
+a client, so drops are exempt.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ def no_run_faults_or_pays_outside(name, actions):
     untouched = run_spec(spec)
     baseline = grid.committed(untouched)
     assert sum(baseline.values()) == 1
+    expected = grid.outcomes(untouched)
     runs = 0
     for msg_type, label, attacked in grid.attacked_specs(spec, untouched, actions):
         report = run_spec(attacked)
@@ -59,6 +62,8 @@ def no_run_faults_or_pays_outside(name, actions):
         assert not {r.name for r in report.results} & set(grid.FAULTS), \
             (where, report.render())
         assert not grid.committed(report) - baseline, where
+        if grid.replayed(attacked):
+            assert grid.outcomes(report) == expected, where
         runs += 1
     return runs
 

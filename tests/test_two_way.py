@@ -253,6 +253,26 @@ def test_replayed_settle_notice_credits_once():
     assert any("notice-duplicate" in line for line in notes(sim))
 
 
+@pytest.mark.parametrize("msg_type, channel", [
+    ("merchant_auth_request", Channel.WEB),
+    ("merchant_auth_verdict", Channel.INTERBANK),
+])
+def test_the_gateway_verifies_a_request_once(msg_type, channel):
+    # A second copy neither replaces the recorded verdict nor asks again.
+    adversary = AdversaryScript(rules=[
+        Rule(action=Replay(delay=6), channel=channel, msg_type=msg_type, nth=1),
+    ])
+    world = two_way_world()
+    server, _, mbank, merchant, gateway, client = world
+    sim = run_world(world, adversary=adversary)
+    assert client.outcomes == ["committed"]
+    assert gateway.allows(client.request_id)
+    assert f"cbank: unexpected-{msg_type.replace('_', '-')} ignored" in notes(sim)
+    sent = [e.msg_type for e in sim.trace.find(kind="send")]
+    assert sent.count("merchant_auth_forward") == sent.count("merchant_auth_ack") == 1
+    assert merchant.confirmations == [("shopzone-INV0001", 4999)]
+
+
 def test_gate_refuses_ungated_requests():
     server = BankServer(seed=1)
     server.payment_gate = lambda request_id: False

@@ -1,5 +1,6 @@
 """Tamper with, drop and replay the first message of each type in both happy
-flows, and list the runs that fault or commit a payment they should not.
+flows, and list the runs that fault, commit a payment they should not, or
+let a replay change a client's outcomes.
 
     python3 tools/tamper_grid.py
 
@@ -10,10 +11,13 @@ message type is attacked once per run:
   - replay rows: replayed once, 1 to 40 seconds later.
 A run faults when it ends in `actor-fault` or `step-budget`, and commits
 outside when the bank commits a payment that the untouched run does not.
-It takes no options, imports ticpay from ``src/`` of the checkout it sits
-in, prints one line per faulting or outside-committing run and the counts
-of each kind of row in each flow, and exits 1 if any run faulted or
-committed outside, else 0. ``tests/test_tamper.py`` runs slices of it.
+A replay row must also leave each client's outcomes those of the untouched
+run; a drop may stall a client, so drop rows are exempt. It takes no
+options, imports ticpay from ``src/`` of the checkout it sits in, prints
+one `BAD` line per run that faulted, committed outside or changed an
+outcome on replay, and the counts of each kind of row in each flow, and
+exits 1 if any line is `BAD`, else 0. ``tests/test_tamper.py`` runs slices
+of it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -80,6 +84,16 @@ def committed(report: RunReport) -> Counter:
                    if txn.state is TxnState.COMMITTED)
 
 
+def outcomes(report: RunReport) -> List[List[str]]:
+    """Each client's outcomes, in client order."""
+    return [client.outcomes for client in report.world.clients]
+
+
+def replayed(spec: ScenarioSpec) -> bool:
+    """Whether `spec`'s adversary replays a message."""
+    return any(isinstance(rule.action, Replay) for rule in spec.adversary.rules)
+
+
 ROWS = (("tamper", tampers(lambda body: range(len(body)), MASKS)),
         ("drop and replay", drop_and_replays(DELAYS)))
 
@@ -92,6 +106,7 @@ def main() -> int:
             spec = load_spec(find_bundled(name))
             untouched = run_spec(spec)
             baseline = committed(untouched)
+            expected = outcomes(untouched)
             total = faulted = outside = 0
             for msg_type, label, attacked in attacked_specs(spec, untouched, actions):
                 report = run_spec(attacked)
@@ -102,6 +117,8 @@ def main() -> int:
                 outside += bool(extra)
                 if extra:
                     found.append(f"committed {sorted(extra.elements())}")
+                if replayed(attacked) and outcomes(report) != expected:
+                    found.append(f"outcomes {outcomes(report)}")
                 if found:
                     bad += 1
                     print(f"BAD {name} {msg_type} {label}: " + "; ".join(found))
