@@ -12,7 +12,8 @@ probing with forged ciphertexts learns nothing from the response. The
 precise cause goes to the trace instead.
 
 `BankServer` is the transport-free core (directly callable in tests);
-`BankActor` adapts it to envelopes, timers, and the SMS channel.
+`BankActor` adapts it to envelopes, timers, and the SMS channel. The
+two-way flow's bank is a `BankActor` subclass, `two_way.TwoWayGateway`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .crypto import DEFAULT_CIPHER, CryptoSuite, Pin, SecretKey
 from .errors import IntegrityFailure, WireError
@@ -175,9 +176,6 @@ class BankServer:
         self.cipher_name = cipher
         self.suite = CryptoSuite(cipher)
         self.sms_deadline = sms_deadline
-        # request_id -> may this payment proceed; set by a two-way gateway.
-        # One-way traffic has no request_id and passes trivially.
-        self.payment_gate: Optional[Callable[[str], bool]] = None
         self._rng = DeterministicRng(seed, f"bank|{name}")
         # One long-lived stream: recreating it per login would replay the
         # same cookie value and never satisfy the uniqueness loop.
@@ -315,11 +313,13 @@ class BankServer:
         enc_order: bytes | Ciphertext,
         now: int = 0,
         request_id: str = "",
+        merchant_ok: bool = False,
     ) -> SubmitResult:
         """Three-stage check: TIC decrypts under the session key, matches a
         live issued code (consumed on match), and then keys the order's own
         decryption. Any miss anywhere denies the transaction and closes the
-        session; the caller must answer with the one generic denial."""
+        session; the caller must answer with the one generic denial. A
+        merchant request id also needs `merchant_ok`, its positive verdict."""
         session = self.sessions.get(cookie)
 
         def fail(cause: str) -> SubmitResult:
@@ -332,7 +332,7 @@ class BankServer:
             return SubmitResult(ok=False, cause="unknown-session")
         if session.phase is not Phase.AWAITING_TIC:
             return fail("wrong-phase")
-        if request_id and (self.payment_gate is None or not self.payment_gate(request_id)):
+        if request_id and not merchant_ok:
             return fail("merchant-not-authorized")
 
         try:
@@ -351,7 +351,6 @@ class BankServer:
             enc_order = (enc_order if isinstance(enc_order, Ciphertext)
                          else Ciphertext.from_bytes(enc_order))
             order = self.suite.decrypt_payment(enc_order, tic_value, cookie)
-            order.validate()
         except (WireError, IntegrityFailure, ValueError):
             return fail("order-decrypt-failed")
 
@@ -380,9 +379,7 @@ class BankServer:
     # -- confirmation ---------------------------------------------------------------
 
     def _close_session_of(self, txn: PendingTransaction) -> None:
-        session = self.sessions.get(txn.cookie)
-        if session is not None and session.phase is not Phase.CLOSED:
-            session.advance(Phase.CLOSED)
+        self.sessions[txn.cookie].advance(Phase.CLOSED)
 
     def _commit(self, txn: PendingTransaction) -> ReplyResult:
         payer = txn.account_id
@@ -436,15 +433,21 @@ class BankActor(Actor):
     """Envelope adapter around BankServer: routing, timers, SMS dispatch.
 
     `provision_plan` maps usernames to TIC batch sizes delivered at start.
-    A two-way gateway, when attached, takes the merchant-auth message types
-    and the settlement hook; without one the bank speaks pure one-way.
+    This bank speaks pure one-way: it ignores the merchant-auth message
+    types and refuses every payment under a merchant request id.
     """
 
     def __init__(self, server: BankServer, provision_plan: Optional[Dict[str, int]] = None):
         self.server = server
         self.name = server.name
         self.provision_plan = dict(provision_plan or {})
-        self.gateway = None  # wired by the world builder for two-way runs
+
+    def allows(self, request_id: str) -> bool:
+        """May the payment under this merchant request id proceed?"""
+        return False
+
+    def on_committed(self, ctx: Ctx, txn: PendingTransaction) -> None:
+        """Settles a commit under a merchant request id; allows() admits none here."""
 
     # -- helpers -------------------------------------------------------------
 
@@ -453,16 +456,14 @@ class BankActor(Actor):
 
     def _send_txn_result(self, ctx: Ctx, txn: PendingTransaction, committed: bool,
                          cause: Optional[str]) -> None:
-        session = self.server.sessions.get(txn.cookie)
-        receiver = session.username if session else txn.cookie
-        send(ctx, "txn_result", receiver, {
+        session = self.server.sessions[txn.cookie]
+        send(ctx, "txn_result", session.username, {
             F.STATUS: b"\x01" if committed else b"\x00",
             F.REASON: cause or None,
             F.TXN_ID: txn.txn_id,
             F.RESULT: "committed" if committed else "aborted",
         }, request_id=txn.request_id)
-        if session:
-            self._note_phase(ctx, session)
+        self._note_phase(ctx, session)
 
     def _finish_txn(self, ctx: Ctx, result: ReplyResult) -> None:
         txn = result.txn
@@ -472,8 +473,8 @@ class BankActor(Actor):
         else:
             ctx.note(f"txn-aborted txn={txn.txn_id} cause={result.cause}")
         self._send_txn_result(ctx, txn, result.committed, result.cause)
-        if result.committed and self.gateway is not None and txn.request_id:
-            self.gateway.on_committed(ctx, txn)
+        if result.committed and txn.request_id:
+            self.on_committed(ctx, txn)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -489,8 +490,6 @@ class BankActor(Actor):
         handler = self._HANDLERS.get(env.msg_type)
         if handler is not None:
             handler(self, ctx, env)
-        elif self.gateway is not None and env.msg_type in self.gateway.HANDLED:
-            self.gateway.on_message(ctx, env)
         else:
             ctx.note(f"ignored msg_type={env.msg_type}")
 
@@ -514,8 +513,6 @@ class BankActor(Actor):
             result = self.server.expire_txn(txn_id, now=ctx.now)
             if result is not None:
                 self._finish_txn(ctx, result)
-        elif self.gateway is not None:
-            self.gateway.on_timer(ctx, label)
 
     # -- message handlers --------------------------------------------------------
 
@@ -552,6 +549,7 @@ class BankActor(Actor):
         enc_order = env.body.get(F.ENC_ORDER, b"")
         result = self.server.submit_payment(
             env.cookie, enc_tic, enc_order, now=ctx.now, request_id=env.request_id,
+            merchant_ok=self.allows(env.request_id),
         )
         session = self.server.sessions.get(env.cookie)
         if not result.ok:
@@ -585,8 +583,9 @@ class BankActor(Actor):
             return
         self._finish_txn(ctx, result)
 
-    # One-way message types; an attached gateway takes the two-way ones.
-    # Shared by every bank: bound methods per instance would be a cycle.
+    # One-way message types; the two-way subclass takes its own in
+    # `on_message`. Shared by every bank: bound methods per instance would
+    # be a cycle.
     _HANDLERS = {
         "login_request": _on_login,
         "mode_select": _on_mode_select,

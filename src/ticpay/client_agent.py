@@ -184,7 +184,7 @@ class ClientAgent(Actor):
         self._select_mode(ctx)
 
     def _select_mode(self, ctx: Ctx) -> None:
-        self._send(ctx, "mode_select", self.bank, {F.MODE: PayMode(self.order.mode).label},
+        self._send(ctx, "mode_select", self.bank, {F.MODE: self.order.mode.label},
                    cookie=self.session.cookie)
 
     def _on_mode_ack(self, ctx: Ctx, env: Envelope) -> None:

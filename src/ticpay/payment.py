@@ -30,7 +30,7 @@ class PayMode(IntEnum):
 
     @property
     def label(self) -> str:
-        return {v: k for k, v in MODE_NAMES.items()}[self]
+        return MODE_LABELS[self]
 
 
 MODE_NAMES = {
@@ -38,6 +38,7 @@ MODE_NAMES = {
     "debit-card": PayMode.DEBIT_CARD,
     "electronic-transfer": PayMode.ELECTRONIC_TRANSFER,
 }
+MODE_LABELS = {mode: name for name, mode in MODE_NAMES.items()}
 
 
 @dataclass(frozen=True)

@@ -477,12 +477,7 @@ def build_world(spec: ScenarioSpec) -> World:
         )
         plan[c.username] = c.tic_batch
 
-    bank_actor = BankActor(server, provision_plan=plan)
-    sim = Simulation(adversary=spec.adversary, step_budget=spec.step_budget)
-    sim.add_actor(bank_actor)
-
-    merchant_bank = None
-    merchant_agent = None
+    merchant_bank = merchant_agent = None
     if spec.flow == "two-way":
         m = spec.merchant
         merchant_bank = MerchantBank(seed=spec.seed, cipher=spec.cipher)
@@ -492,7 +487,13 @@ def build_world(spec: ScenarioSpec) -> World:
         )
         merchant_agent = MerchantAgent(record, bank=merchant_bank.name, price=m.price,
                                        cipher=spec.cipher)
-        TwoWayGateway(bank_actor, known_banks={merchant_bank.name})
+        bank_actor = TwoWayGateway(server, plan, known_banks={merchant_bank.name})
+    else:
+        bank_actor = BankActor(server, provision_plan=plan)
+
+    sim = Simulation(adversary=spec.adversary, step_budget=spec.step_budget)
+    sim.add_actor(bank_actor)
+    if merchant_bank is not None:
         sim.add_actor(merchant_bank)
         sim.add_actor(merchant_agent)
 

@@ -25,7 +25,7 @@ import hmac
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from .auth_server import PendingTransaction
+from .auth_server import BankActor, BankServer, PendingTransaction
 from .crypto import DEFAULT_CIPHER, CryptoSuite, derive_shared_key
 from .errors import IntegrityFailure, NoCertificate, WireError
 from .netsim import Actor, Ctx, digest16
@@ -311,41 +311,39 @@ class _RequestState:
     merchant_id: str
     merchant_bank_id: str
     invoice_number: str
-    amount: int
     verdict: Optional[Verdict] = None
     timer_token: Optional[int] = None
 
 
-class TwoWayGateway:
-    """Customer-bank side of merchant verification and settlement.
+class TwoWayGateway(BankActor):
+    """The customer's bank in the two-way flow: the one-way bank plus
+    merchant verification and settlement.
 
-    Attached to a BankActor; it answers the message types that only the
-    two-way flow sends the customer bank, owns the post-commit settlement
-    fan-out, and answers the server's payment gate: a request may pay only
-    after a recorded positive verdict — retries always re-verify, nothing
-    is cached across requests. `requests` is the gateway's due set: a
-    request id is verified once, and a verdict is due only while its
-    request has none.
+    It takes the message types that only the two-way flow sends the
+    customer bank, lets a request pay only after a recorded positive
+    verdict — retries always re-verify, nothing is cached across
+    requests — and after each commit notifies the merchant bank and the
+    customer. `requests` is the due set: a request id is verified once,
+    and a verdict is due only while its request has none.
     """
 
     HANDLED = frozenset(received_by(BANK, two_way_only=True))
 
-    def __init__(self, bank_actor, known_banks: Optional[set] = None):
-        # The bank actor and its server point here; the gateway keeps only
-        # the bank's name, so the wiring has no cycle.
-        self.bank_name = bank_actor.name
+    def __init__(self, server: BankServer, provision_plan: Optional[Dict[str, int]] = None,
+                 known_banks: Optional[set] = None):
+        super().__init__(server, provision_plan)
         self.known_banks = set(known_banks or ())
         self.requests: Dict[str, _RequestState] = {}
         self._notice_counter = 0
-        bank_actor.gateway = self
-        bank_actor.server.payment_gate = self.allows
 
     def allows(self, request_id: str) -> bool:
         state = self.requests.get(request_id)
         return state is not None and state.verdict is not None and state.verdict.positive
 
     def on_message(self, ctx: Ctx, env: Envelope) -> None:
-        if env.msg_type == "merchant_auth_request":
+        if env.msg_type not in self.HANDLED:
+            super().on_message(ctx, env)
+        elif env.msg_type == "merchant_auth_request":
             self._on_auth_request(ctx, env)
         else:
             self._on_verdict(ctx, env)
@@ -371,7 +369,6 @@ class TwoWayGateway:
             merchant_id=read_text(env.body, F.MERCHANT_ID),
             merchant_bank_id=merchant_bank,
             invoice_number=read_text(env.body, F.INVOICE_NUMBER),
-            amount=read_amount(env.body),
         )
         self.requests[state.request_id] = state
         if merchant_bank not in self.known_banks:
@@ -403,6 +400,7 @@ class TwoWayGateway:
 
     def on_timer(self, ctx: Ctx, label: str) -> None:
         if not label.startswith("merchant-auth-timeout|"):
+            super().on_timer(ctx, label)
             return
         request_id = label.split("|", 1)[1]
         state = self.requests.get(request_id)
@@ -412,12 +410,11 @@ class TwoWayGateway:
         self._ack(ctx, state, Verdict(False, "timeout"))
 
     def on_committed(self, ctx: Ctx, txn: PendingTransaction) -> None:
-        state = self.requests.get(txn.request_id)
-        if state is None or not self.allows(txn.request_id):
-            ctx.note(f"settle-skipped request={txn.request_id}")
-            return
+        # The commit passed the gate at submit, and a recorded verdict never
+        # changes: the request is known and positive.
+        state = self.requests[txn.request_id]
         self._notice_counter += 1
-        notice_id = f"{self.bank_name}-N{self._notice_counter:04d}"
+        notice_id = f"{self.name}-N{self._notice_counter:04d}"
         # Funds already moved into clearing at commit; the notice tells the
         # merchant bank to book its side, once, keyed by notice id.
         send(ctx, "settle_notice", state.merchant_bank_id, {

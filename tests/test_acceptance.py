@@ -412,20 +412,19 @@ def two_way_run(*, seed=31, mangle=None, known_banks=("mbank",), adversary=None)
         username="alice", password="pw", pin=PIN, cell_number="+27-82-000-0001",
         account_id="ACC-1001", balance=100_000, vault_password="vp",
     )
-    bank_actor = BankActor(server, provision_plan={"alice": 2})
     mbank = MerchantBank(seed=seed + 1)
     record = mbank.register_merchant("shopzone", "MAC-7001", "Shop Zone",
                                      balance=50_000)
     if mangle is not None:
         mangle(mbank, record)
     merchant = MerchantAgent(record, bank="mbank", price=4999)
-    gateway = TwoWayGateway(bank_actor, known_banks=set(known_banks))
+    gateway = TwoWayGateway(server, {"alice": 2}, known_banks=set(known_banks))
     client = ClientAgent(
         name="alice", password="pw", pin=PIN, vault_password="vp",
         merchant="shopzone", mode="credit-card",
     )
     sim = Simulation(adversary=adversary)
-    for actor in (client, bank_actor, merchant, mbank):
+    for actor in (client, gateway, merchant, mbank):
         sim.add_actor(actor)
     baseline = total_funds([server, mbank])
     violations = []

@@ -12,7 +12,7 @@ from ticpay.auth_server import BankActor, BankServer, TxnState
 from ticpay.client_agent import ClientAgent
 from ticpay.crypto import Pin
 from ticpay.errors import IntegrityFailure
-from ticpay.netsim import AdversaryScript, Replay, Rule, Simulation, Tamper
+from ticpay.netsim import AdversaryScript, Drop, Replay, Rule, Simulation, Tamper
 from ticpay.payment import PayMode, PaymentOrder
 from ticpay.protocol import TEMPLATES
 from ticpay.scenarios import find_bundled, load_spec, run_spec
@@ -290,6 +290,16 @@ def test_a_replayed_request_or_reply_leaves_the_outcome_alone(name, msg_type, de
     # and the device spent one code, as the untouched run does
     (client,) = report.world.clients
     assert client.vault.remaining() == bundled_run(name).world.clients[0].vault.remaining()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the client has no deadline of its own (ROADMAP item 12)")
+def test_a_lost_answer_still_ends_in_an_outcome():
+    # With the first mode_ack dropped, ('mode_ack', '') stays due for ever
+    # and the run ends with no outcome for the client.
+    report = bundled_run("happy-oneway", Rule(Drop(), msg_type="mode_ack", nth=1))
+    (client,) = report.world.clients
+    assert client.outcomes, sorted(client._due)
 
 
 # Any 1-3 replays of the first transmission of any of the flow's message

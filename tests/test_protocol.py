@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from ticpay.auth_server import BankActor
 from ticpay.checks import MERCHANT_SCHEMAS, conformance_check
 from ticpay.netsim import AdversaryScript, Ctx
 from ticpay.protocol import (
@@ -224,8 +225,10 @@ def test_each_actor_answers_exactly_what_its_role_receives():
                 if m.receiver == role and (flow == "two-way" or not m.two_way_only)}
 
     one_way = build_world(load_spec(find_bundled("happy-oneway")))
+    assert type(one_way.bank_actor) is BankActor
     assert answered(one_way, one_way.bank_actor) == receives(BANK, "one-way")
     two_way = build_world(load_spec(find_bundled("happy-twoway")))
+    assert type(two_way.bank_actor) is TwoWayGateway
     assert answered(two_way, two_way.bank_actor) == receives(BANK, "two-way")
     assert answered(two_way, two_way.merchant_bank) == receives(MERCHANT_BANK, "two-way")
     assert answered(two_way, two_way.merchant_agent) == receives(MERCHANT, "two-way")

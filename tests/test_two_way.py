@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ticpay.auth_server import BankActor, BankServer
+from ticpay.auth_server import BankServer
 from ticpay.client_agent import ClientAgent
 from ticpay.crypto import Pin
 from ticpay.errors import NoCertificate, WireError
@@ -141,14 +141,13 @@ def two_way_world(valid_from=0, valid_until=10**9, known_banks=("mbank",),
         balance=100_000,
         vault_password="device-pass",
     )
-    bank_actor = BankActor(server, provision_plan={"alice": 2})
     mbank = MerchantBank(seed=12)
     record = mbank.register_merchant("shopzone", "MAC-7001", "Shop Zone", balance=50_000)
     mbank.issue_certificate("shopzone", valid_from=valid_from, valid_until=valid_until)
     if tamper_cert is not None:
         record.certificate = tamper_cert(record.certificate)
     merchant = MerchantAgent(record, bank="mbank", price=4999)
-    gateway = TwoWayGateway(bank_actor, known_banks=set(known_banks))
+    gateway = TwoWayGateway(server, {"alice": 2}, known_banks=set(known_banks))
     client = ClientAgent(
         name="alice",
         password="hunter2",
@@ -157,13 +156,13 @@ def two_way_world(valid_from=0, valid_until=10**9, known_banks=("mbank",),
         merchant="shopzone",
         mode="credit-card",
     )
-    return server, bank_actor, mbank, merchant, gateway, client
+    return server, mbank, merchant, gateway, client
 
 
 def run_world(world, adversary=None):
-    server, bank_actor, mbank, merchant, gateway, client = world
+    server, mbank, merchant, gateway, client = world
     sim = Simulation(adversary=adversary)
-    for actor in (client, bank_actor, merchant, mbank):
+    for actor in (client, gateway, merchant, mbank):
         sim.add_actor(actor)
     sim.run_to_quiescence()
     return sim
@@ -175,7 +174,7 @@ def notes(sim):
 
 def test_two_way_happy_path_settles_exactly_once():
     world = two_way_world()
-    server, _, mbank, merchant, gateway, client = world
+    server, mbank, merchant, gateway, client = world
     before = total_funds([server, mbank])
     sim = run_world(world)
     assert client.outcomes == ["committed"]
@@ -191,7 +190,7 @@ def test_two_way_happy_path_settles_exactly_once():
 
 
 def assert_no_payment_happened(world, sim):
-    server, _, mbank, merchant, gateway, client = world
+    server, mbank, merchant, gateway, client = world
     assert server.registry.accepted_log == []
     assert server.balances["ACC-1001"] == 100_000
     assert mbank.balances["MAC-7001"] == 50_000
@@ -245,7 +244,7 @@ def test_replayed_settle_notice_credits_once():
              msg_type="settle_notice", nth=1),
     ])
     world = two_way_world()
-    server, _, mbank, merchant, gateway, client = world
+    server, mbank, merchant, gateway, client = world
     sim = run_world(world, adversary=adversary)
     assert client.outcomes == ["committed"]
     assert mbank.balances["MAC-7001"] == 50_000 + 4999
@@ -263,7 +262,7 @@ def test_the_gateway_verifies_a_request_once(msg_type, channel):
         Rule(action=Replay(delay=6), channel=channel, msg_type=msg_type, nth=1),
     ])
     world = two_way_world()
-    server, _, mbank, merchant, gateway, client = world
+    server, mbank, merchant, gateway, client = world
     sim = run_world(world, adversary=adversary)
     assert client.outcomes == ["committed"]
     assert gateway.allows(client.request_id)
@@ -274,16 +273,19 @@ def test_the_gateway_verifies_a_request_once(msg_type, channel):
 
 
 def test_gate_refuses_ungated_requests():
-    server = BankServer(seed=1)
-    server.payment_gate = lambda request_id: False
-    server.enroll(
-        username="alice", password="hunter2", pin=PIN, cell_number="+0",
-        account_id="ACC-1001", balance=1_000, vault_password="d",
-    )
-    login = server.login("alice", "hunter2")
-    assert server.select_mode(login.cookie, "credit-card").ok
-    result = server.submit_payment(login.cookie, b"", b"", request_id="R-1")
-    assert result.cause == "merchant-not-authorized"
+    # Past the gate, the empty TIC fails to decrypt.
+    for merchant_ok, cause in [(False, "merchant-not-authorized"),
+                               (True, "tic-decrypt-failed")]:
+        server = BankServer(seed=1)
+        server.enroll(
+            username="alice", password="hunter2", pin=PIN, cell_number="+0",
+            account_id="ACC-1001", balance=1_000, vault_password="d",
+        )
+        login = server.login("alice", "hunter2")
+        assert server.select_mode(login.cookie, "credit-card").ok
+        result = server.submit_payment(login.cookie, b"", b"", request_id="R-1",
+                                       merchant_ok=merchant_ok)
+        assert result.cause == cause, merchant_ok
 
 
 # -- merchant blindness -------------------------------------------------------------
