@@ -102,7 +102,6 @@ class Session:
     username: str
     account_id: str
     secret_key: SecretKey
-    created_at: int
     phase: Phase = Phase.LOGGED_IN
     mode: Optional[PayMode] = None
     txn_id: Optional[str] = None
@@ -248,7 +247,7 @@ class BankServer:
 
     # -- login -----------------------------------------------------------------
 
-    def login(self, username: str, password: str, now: int = 0) -> LoginResult:
+    def login(self, username: str, password: str) -> LoginResult:
         record = self.accounts.get(username)
         if record is None:
             return LoginResult(ok=False, reason="bad-credentials")
@@ -275,7 +274,6 @@ class BankServer:
             username=username,
             account_id=record.account_id,
             secret_key=secret_key,
-            created_at=now,
         )
         self.sessions[cookie] = session
         wrapped = self.suite.wrap_secret_key(secret_key, record.pin, session_handle=cookie)
@@ -518,7 +516,7 @@ class BankActor(Actor):
 
     def _on_login(self, ctx: Ctx, env: Envelope) -> None:
         username = read_text(env.body, F.USERNAME)
-        result = self.server.login(username, read_text(env.body, F.PASSWORD), now=ctx.now)
+        result = self.server.login(username, read_text(env.body, F.PASSWORD))
         if not result.ok:
             ctx.note(f"login-rejected user={username} cause={result.reason}")
             send(ctx, "login_response", env.sender, {

@@ -14,7 +14,7 @@ import struct
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .netsim import ProtocolTrace, TraceEvent, WireRecord
 from .protocol import MERCHANT, received_by
@@ -28,6 +28,9 @@ MERCHANT_SCHEMAS = received_by(MERCHANT)
 # false alarms, so the scan refuses them instead of giving a verdict.
 MIN_SECRET_LEN = 8
 _WORD = struct.Struct("I")  # native, as memoryview.cast("I") reads the buffer
+# Records the leakage scan joins at a time: it holds one chunk's bytes,
+# never a copy of the whole wire.
+SCAN_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,23 @@ def leakage_scan(wire_log: Sequence[WireRecord],
     real cipher is a protocol bug. A secret shorter than MIN_SECRET_LEN
     bytes raises ValueError.
 
-    Cost: the records' bytes are joined once. A secret is at least 8
-    bytes long, so every occurrence of it covers one whole 4-byte word at
-    a 4-aligned offset of the buffer, and that word is the secret's
-    4-byte slice at offset 0, 1, 2 or 3. One C-level set intersection of
-    the buffer's aligned words with those four slices of every secret
-    names the slices that occur. Only a distinct value with a slice that
-    occurs takes a C-level ``bytes.find`` walk over the buffer, so the
-    Python work grows with distinct secrets plus hits, not with records x
-    secrets, and a clean ciphertext log costs about one pass over its
-    bytes. Overlapping hits are all found; a match that runs from one
-    record into the next is not a hit.
+    Cost: the log is read in chunks of SCAN_CHUNK records, and only one
+    chunk's bytes are joined at a time, so the wire is never copied
+    whole. An occurrence lies inside one record, hence inside one chunk.
+    A secret is at least 8 bytes long, so an occurrence at offset p of a
+    chunk's buffer covers the whole 4-byte word at the next multiple of
+    4, p + k with k in 0..3, which ends at p + k + 4 <= p + 7, inside the
+    occurrence; that word is the secret's 4-byte slice at offset k. So one
+    C-level set intersection of each chunk's aligned words with the four
+    slices of every secret names the slices present there, and a secret
+    with none of its slices present cannot occur in that chunk: the
+    prefilter misses no hit. Only a chunk with a slice present is
+    joined again, and in it only a secret with a slice present takes a
+    C-level ``bytes.find`` walk. The Python work grows with chunks,
+    secrets and hits, not with records x secrets; a clean ciphertext log
+    costs about one pass over its bytes, and the scan holds one chunk plus
+    the set of slice words. Overlapping hits are all found; a match that
+    runs from one record into the next is not a hit.
 
     Findings come in record order, then in the insertion order of
     ``secrets``, then by offset within the record. Two secret ids that
@@ -66,45 +75,58 @@ def leakage_scan(wire_log: Sequence[WireRecord],
         if len(value) < MIN_SECRET_LEN:
             raise ValueError(f"secret {secret_id!r} is {len(value)} bytes; "
                              f"the scan needs at least {MIN_SECRET_LEN}")
-    starts: List[int] = []
-    size = 0
-    for record in wire_log:
-        starts.append(size)
-        size += len(record.data)
-    wire = b"".join(record.data for record in wire_log)
+    words = {word for value in secrets.values() for word in _slices(value)}
+    flagged: List[Tuple[int, Set[int]]] = []  # (first record index, words present)
+    for first in range(0, len(wire_log), SCAN_CHUNK):
+        present = words.intersection(_aligned_words(
+            b"".join(record.data for record in wire_log[first:first + SCAN_CHUNK])))
+        if present:
+            flagged.append((first, present))
+    if not flagged:
+        return []
 
-    ranks_by_value: Dict[bytes, List[int]] = {}
-    for rank, value in enumerate(secrets.values()):
-        ranks_by_value.setdefault(value, []).append(rank)
-
-    # Prefilter: an occurrence at offset p covers the aligned word that
-    # starts at the next multiple of 4, p + k with k in 0..3, and ends at
-    # p + k + 3 <= p + 6, inside the secret (MIN_SECRET_LEN is 8). So a
-    # value none of whose slices [k:k + 4] is an aligned "I" word of the
-    # buffer cannot occur.
-    slices = {value: [_WORD.unpack_from(value, k)[0] for k in range(4)]
-              for value in ranks_by_value}
-    view = memoryview(wire)
-    present = {word for words in slices.values() for word in words}.intersection(
-        view[:len(wire) - len(wire) % 4].cast("I"))
-
-    hits: List[Tuple[int, int, int]] = []  # (record index, secret rank, offset)
-    for value, ranks in ranks_by_value.items():
-        if present.isdisjoint(slices[value]):
-            continue
-        at = wire.find(value)
-        while at != -1:
-            # Empty records share their start with the next record, so
-            # the rightmost start <= at is the record holding byte `at`.
-            index = bisect_right(starts, at) - 1
-            offset = at - starts[index]
-            if offset + len(value) <= len(wire_log[index].data):
-                hits.extend((index, rank, offset) for rank in ranks)
-            at = wire.find(value, at + 1)
-    hits.sort()
+    hit_words = set().union(*(present for _, present in flagged))
+    candidates = [(rank, value, _slices(value))
+                  for rank, value in enumerate(secrets.values())
+                  if not hit_words.isdisjoint(_slices(value))]
     secret_ids = list(secrets)
-    return [LeakFinding(wire_log[index].seq, secret_ids[rank], offset)
-            for index, rank, offset in hits]
+    findings: List[LeakFinding] = []
+    for first, present in flagged:
+        records = wire_log[first:first + SCAN_CHUNK]
+        starts: List[int] = []
+        size = 0
+        for record in records:
+            starts.append(size)
+            size += len(record.data)
+        chunk = b"".join(record.data for record in records)
+        hits: List[Tuple[int, int, int]] = []  # (record index in chunk, rank, offset)
+        for rank, value, slices in candidates:
+            if present.isdisjoint(slices):
+                continue
+            at = chunk.find(value)
+            while at != -1:
+                # Empty records share their start with the next record, so
+                # the rightmost start <= at is the record holding byte `at`.
+                index = bisect_right(starts, at) - 1
+                offset = at - starts[index]
+                if offset + len(value) <= len(records[index].data):
+                    hits.append((index, rank, offset))
+                at = chunk.find(value, at + 1)
+        hits.sort()
+        findings.extend(LeakFinding(records[index].seq, secret_ids[rank], offset)
+                        for index, rank, offset in hits)
+    return findings
+
+
+def _slices(value: bytes) -> Tuple[int, int, int, int]:
+    """The value's 4-byte slices at offsets 0..3, read as aligned buffer words are."""
+    unpack = _WORD.unpack_from
+    return (unpack(value, 0)[0], unpack(value, 1)[0], unpack(value, 2)[0], unpack(value, 3)[0])
+
+
+def _aligned_words(data: bytes) -> memoryview:
+    """The 4-byte words of `data` at offsets 0, 4, 8, ..., a short tail dropped."""
+    return memoryview(data)[:len(data) - len(data) % 4].cast("I")
 
 
 @dataclass(frozen=True)

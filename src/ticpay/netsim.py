@@ -460,11 +460,16 @@ class Simulation:
         """Drain the heap to quiescence; raises StepBudgetExceeded if the
         step budget is exceeded, and ActorFault if a handler raises."""
         while self._heap:
+            at, _tie, kind, payload = heapq.heappop(self._heap)
+            if kind == "timer" and payload[2] in self._cancelled:
+                # A cancelled timer is no event: it moves no clock and
+                # spends no step.
+                self._cancelled.discard(payload[2])
+                continue
             self._steps += 1
             if self._steps > self.step_budget:
                 raise StepBudgetExceeded(
                     f"exceeded {self.step_budget} events; runaway scenario?")
-            at, _tie, kind, payload = heapq.heappop(self._heap)
             self.now = at
             if kind == "send":
                 self._dispatch_send(*payload)
@@ -474,9 +479,7 @@ class Simulation:
                 self._record("inject", body_digest=payload[3])
                 self._dispatch_send(*payload)
             elif kind == "timer":
-                actor_name, label, token = payload
-                if token in self._cancelled:
-                    continue
+                actor_name, label, _token = payload
                 actor = self._actors.get(actor_name)
                 seq = self._record("timer", receiver=actor_name, note=label)
                 if actor is not None:

@@ -46,9 +46,9 @@ def enrolled_server(**server_kw) -> BankServer:
     return server
 
 
-def open_session(server: BankServer, username="alice", password="hunter2", pin=PIN, now=0):
+def open_session(server: BankServer, username="alice", password="hunter2", pin=PIN):
     """Login and unwrap the session key the way a device would."""
-    result = server.login(username, password, now=now)
+    result = server.login(username, password)
     assert result.ok, result.reason
     key = CryptoSuite().unwrap_secret_key(result.wrapped_secret, pin, result.cookie)
     return result.cookie, key
@@ -149,8 +149,8 @@ def test_mode_selection_rejections():
 # -- submission ----------------------------------------------------------------
 
 
-def submit_ready(server, mode="electronic-transfer", now=0, **session_kw):
-    cookie, key = open_session(server, now=now, **session_kw)
+def submit_ready(server, mode="electronic-transfer", **session_kw):
+    cookie, key = open_session(server, **session_kw)
     assert server.select_mode(cookie, mode).ok
     return cookie, key
 
@@ -390,7 +390,6 @@ def test_phase_never_moves_backward():
         username="alice",
         account_id="ACC-1001",
         secret_key=SecretKey(bytes(KEY_LEN), "S0001"),
-        created_at=0,
     )
     session.advance(Phase.MODE_SELECTED)
     session.advance(Phase.AWAITING_SMS)  # skipping forward is legal

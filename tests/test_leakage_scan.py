@@ -1,15 +1,16 @@
 """The leakage scan against its reference: the nested loop over every
-record and secret that the joined-buffer scan replaced.
+record and secret.
 
 The reference is slow, O(records x secrets) Python calls, but its
-meaning is plain, so the fast scan must return the same findings in the
-same order on random logs, on every bundled scenario under both ciphers,
-and on a multi-client world.
+meaning is plain, so the chunked scan must return the same findings in
+the same order on random logs, at chunk boundaries, on every bundled
+scenario under both ciphers, and on multi-client worlds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ticpay.checks import MIN_SECRET_LEN, LeakFinding, leakage_scan
+from ticpay.checks import MIN_SECRET_LEN, SCAN_CHUNK, LeakFinding, leakage_scan
 from ticpay.crypto import derive_shared_key
 from ticpay.netsim import AdversaryScript, Rule, Tamper, WireRecord
 from ticpay.scenarios import build_world, find_bundled, list_bundled, load_spec, parse_spec
@@ -108,9 +109,11 @@ periodic = st.builds(lambda unit, times: unit * times,
 payloads = st.lists(st.one_of(letters, periodic).map(str.encode), max_size=8)
 
 
-@given(payloads, st.data())
-def test_scan_matches_the_reference_on_random_logs(payloads, data):
-    log = log_of(*payloads)
+@given(payloads, st.integers(0, 3 * SCAN_CHUNK), st.data())
+def test_scan_matches_the_reference_on_random_logs(payloads, length, data):
+    # The drawn records repeat to fill a log of up to three chunks, so hits
+    # and matches across records fall inside chunks and on their edges.
+    log = log_of(*[payloads[i % len(payloads)] for i in range(length if payloads else 0)])
     joined = b"".join(payloads)
     values = []
     for _ in range(data.draw(st.integers(1, 4))):
@@ -124,6 +127,67 @@ def test_scan_matches_the_reference_on_random_logs(payloads, data):
     secrets = {f"s{i}": value for i, value in enumerate(values)}
     secrets["twin"] = values[0]
     assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets)
+
+
+def padded(*placed: bytes, length: int) -> List[WireRecord]:
+    """A log of `length` filler records that ends with the `placed` ones."""
+    return log_of(*[b"filler" * (i % 3) for i in range(length - len(placed))], *placed)
+
+
+def test_hits_in_the_last_record_of_a_chunk_and_the_first_of_the_next():
+    log = padded(b"xSECRET-1", b"SECRET-1y", length=SCAN_CHUNK + 1)
+    secrets = {"s": b"SECRET-1"}
+    expected = [LeakFinding(10 + SCAN_CHUNK - 1, "s", 1), LeakFinding(10 + SCAN_CHUNK, "s", 0)]
+    assert leakage_scan(log, secrets) == expected
+    assert reference_leakage_scan(log, secrets) == expected
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_a_value_running_across_a_chunk_boundary_is_no_hit(cut):
+    value = b"SECRET-1"
+    log = padded(b"x" + value[:cut], value[cut:] + b"y", length=SCAN_CHUNK + 1)
+    secrets = {"s": value}
+    assert leakage_scan(log, secrets) == reference_leakage_scan(log, secrets) == []
+
+
+def test_one_value_under_two_ids_is_found_under_each_in_two_chunks():
+    value = b"SHARED-VALUE"
+    payloads = [b"filler"] * (2 * SCAN_CHUNK)
+    payloads[5] = b"ab" + value
+    payloads[SCAN_CHUNK + 7] = value
+    log = log_of(*payloads)
+    secrets = {"first": value, "other": b"OTHER-99", "twin": value}
+    expected = [LeakFinding(15, "first", 2), LeakFinding(15, "twin", 2),
+                LeakFinding(17 + SCAN_CHUNK, "first", 0), LeakFinding(17 + SCAN_CHUNK, "twin", 0)]
+    assert leakage_scan(log, secrets) == expected
+    assert reference_leakage_scan(log, secrets) == expected
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_a_short_last_chunk_is_scanned(tail):
+    # The last chunk holds `tail` records and ends with the secret.
+    log = padded(b"SECRET-1", *[b"S"] * (tail - 1), b"zzSECRET-1", length=2 * SCAN_CHUNK + tail)
+    secrets = {"s": b"SECRET-1"}
+    last = 10 + 2 * SCAN_CHUNK + tail - 1
+    expected = [LeakFinding(last - tail, "s", 0), LeakFinding(last, "s", 2)]
+    assert leakage_scan(log, secrets) == expected
+    assert reference_leakage_scan(log, secrets) == expected
+
+
+def test_the_scan_holds_one_chunk_not_the_whole_wire():
+    # 40,000 records (2.6 MB) and 1,000 secrets: a joined copy of the wire
+    # alone would take 2.6 MB; the scan holds one chunk plus 4,000 words.
+    log = log_of(*[hashlib.sha512(i.to_bytes(4, "big")).digest() + b"\x00" * (i % 5)
+                   for i in range(40_000)])
+    secrets = {f"s{i}": hashlib.sha256(b"secret %d" % i).digest() for i in range(1_000)}
+    tracemalloc.start()
+    try:
+        findings = leakage_scan(log, secrets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert findings == []
+    assert peak < 1_000_000, f"scan peaked at {peak} bytes"
 
 
 def ran(spec):
@@ -221,3 +285,15 @@ def test_scan_matches_the_reference_on_a_25_client_world(cipher):
     findings = leakage_scan(log, secrets)
     assert findings == reference_leakage_scan(log, secrets)
     assert bool(findings) == (cipher == "null")
+
+
+def test_the_null_cipher_control_matches_the_reference_across_chunks():
+    # 580 records: the provisioned codes, login responses and submissions
+    # in the clear put hits in the first three chunks; the last two have none.
+    world = ran(crowd_spec(60, "null"))
+    log, secrets = world.sim.wire_log, world.secrets()
+    findings = leakage_scan(log, secrets)
+    assert findings == reference_leakage_scan(log, secrets)
+    leaked = {finding.seq for finding in findings}
+    chunks_hit = {i // SCAN_CHUNK for i, record in enumerate(log) if record.seq in leaked}
+    assert len(chunks_hit) >= 3

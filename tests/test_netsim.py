@@ -275,6 +275,22 @@ def test_timers_fire_and_cancel():
     assert labels == ["keep"]
 
 
+def test_a_cancelled_last_timer_moves_no_clock_and_spends_no_step():
+    # The run's last heap entry is a cancelled timer. It is no event, so the
+    # clock stays at the last event processed, its token is let go, and a
+    # budget of exactly the processed events is enough.
+    class TimerUser(Recorder):
+        def on_start(self, ctx):
+            ctx.set_timer("keep", 5)
+            ctx.cancel_timer(ctx.set_timer("late", 50))
+
+    actor = TimerUser("t")
+    sim = simulate([actor], step_budget=1)
+    assert actor.timers == [(5, "keep")]
+    assert sim.now == 5
+    assert sim._cancelled == set()
+
+
 def test_after_event_hook_runs_at_every_instant():
     sink = Recorder("sink")
     opener = Opener("src", [msg("src", "sink", f"m{i}") for i in range(3)])
