@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .netsim import ProtocolTrace, TraceEvent, WireRecord
+from .netsim import ProtocolTrace, WireRecord
 from .protocol import MERCHANT, received_by
 
 # Message types a merchant agent may legitimately receive, with the body
@@ -169,12 +169,10 @@ def conformance_check(trace: ProtocolTrace, template: Sequence[str],
     matched: Dict[str, int] = dict.fromkeys(clients, 0)  # client -> steps matched
     owners: Dict[str, str] = {}  # request id -> client
     divergences: Dict[Optional[str], ConformanceResult] = {}  # None: unowned
-    for event in trace.events:
-        if event.kind != "deliver":
-            continue
-        request_id = event.request_id
-        owner = (event.receiver if event.receiver in matched
-                 else event.sender if event.sender in matched else None)
+    for seq, sender, receiver, msg_type, request_id in trace.select(
+            "deliver", "sender", "receiver", "msg_type", "request_id"):
+        owner = (receiver if receiver in matched
+                 else sender if sender in matched else None)
         if owner is not None:
             if request_id is not None:
                 owners.setdefault(request_id, owner)
@@ -182,19 +180,18 @@ def conformance_check(trace: ProtocolTrace, template: Sequence[str],
             owner = owners.get(request_id)
         if owner is None:
             if None not in divergences:
-                divergences[None] = ConformanceResult(ok=False, got=event.msg_type,
-                                                      seq=event.seq)
+                divergences[None] = ConformanceResult(ok=False, got=msg_type, seq=seq)
         elif owner not in divergences:
             step = matched[owner]
-            if step < len(template) and event.msg_type == template[step]:
+            if step < len(template) and msg_type == template[step]:
                 matched[owner] = step + 1
             else:
                 divergences[owner] = ConformanceResult(
                     ok=False, client=owner, step=step,
                     expected=template[step] if step < len(template) else None,
-                    got=event.msg_type, seq=event.seq)
+                    got=msg_type, seq=seq)
 
-    last_seq = trace.events[-1].seq if trace.events else 0
+    last_seq = len(trace.events)  # an event's seq is its position
     for name, step in matched.items():
         if name not in divergences and step < len(template):
             divergences[name] = ConformanceResult(ok=False, client=name, step=step,

@@ -24,10 +24,16 @@ The bus keeps a wire log of every byte that crossed a channel, with each
 body's tags but not its field values; leakage scans run over that log, not
 over the trace, which carries digests only.
 
-The trace is walked in one place: `ProtocolTrace.chunks` yields its JSON
-lines TRACE_CHUNK events at a time. The digest, the export and the CLI's
-trace file read those chunks, so the digest and the trace file never
-hold all of a trace's lines in memory at once.
+The trace stores its events as one flat list of cells, nine per event
+(`TraceEvent`'s fields after `seq`); an event's `seq` is its position,
+counted from 1. So a recorded event costs nine list slots and no object
+of its own, and the cycle collector tracks nothing per event.
+`ProtocolTrace.events` is a read-only view that builds a `TraceEvent`
+only when one is read. Every walk over the trace copies one chunk of
+TRACE_CHUNK events' cells at a time: `ProtocolTrace.chunks` formats its
+JSON lines straight from the cells, and the digest, the export and the
+CLI's trace file read those chunks, so they never hold all of a trace's
+lines in memory at once.
 
 Ownership runs one way. Nothing a world owns points back at its owner:
 the simulation holds its actors, an actor holds its own state, and a
@@ -41,8 +47,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
+from operator import eq
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ActorFault, ScenarioError, StepBudgetExceeded, WireError
@@ -51,7 +61,7 @@ from .wire import Channel, Envelope, peek_header
 LATENCY = {Channel.WEB: 1, Channel.SMS: 3, Channel.INTERBANK: 2}
 _CHANNEL_NAMES = {channel: channel.name for channel in Channel}
 DEFAULT_STEP_BUDGET = 10_000
-TRACE_CHUNK = 512  # trace events per chunk of exported lines
+TRACE_CHUNK = 512  # trace events per chunk that a walk over the trace copies
 
 
 Tags = Tuple[int, ...]  # body tags in order
@@ -94,38 +104,105 @@ class TraceEvent(NamedTuple):
         return {k: v for k, v in zip(self._fields, self) if v is not None}
 
 
-# (field index, '"name": ') for every TraceEvent field, in key order
+_CELLS = len(TraceEvent._fields) - 1  # cells per event: every field but seq
+_CELL = {name: i for i, name in enumerate(TraceEvent._fields[1:])}  # name -> cell
+_event = partial(tuple.__new__, TraceEvent)  # a TraceEvent from its ten fields
+
+# (field index, '"name": ') for every TraceEvent field but seq, in key
+# order; "seq" sorts after all of them, so each line ends with it
 _KEYS = [(i, f"{encode_basestring_ascii(name)}: ")
-         for i, name in sorted(enumerate(TraceEvent._fields), key=lambda p: p[1])]
+         for i, name in sorted(enumerate(TraceEvent._fields), key=lambda p: p[1])
+         if name != "seq"]
 
 
-def _json_line(event: TraceEvent) -> str:
-    """The line ``json.dumps(event.as_dict(), sort_keys=True)`` gives, plus
-    its newline, without building an encoder per event. Strings are quoted
-    as ``json`` quotes them; ints print through ``int.__repr__``, as
-    ``json`` prints them, so an IntEnum never prints as its name."""
-    return "{" + ", ".join([
-        key + (encode_basestring_ascii(value) if isinstance(value, str)
-               else int.__repr__(value))
-        for i, key in _KEYS if (value := event[i]) is not None
-    ]) + "}\n"
+def _json_line(event: tuple) -> str:
+    """The line ``json.dumps(TraceEvent(*event).as_dict(), sort_keys=True)``
+    gives, plus its newline, without building an encoder per event.
+    Strings are quoted as ``json`` quotes them; ints print through
+    ``int.__repr__``, as ``json`` prints them, so an IntEnum never prints
+    as its name."""
+    parts = [key + (encode_basestring_ascii(value) if isinstance(value, str)
+                    else int.__repr__(value))
+             for i, key in _KEYS if (value := event[i]) is not None]
+    parts.append(f'"seq": {event[0]}')
+    return "{" + ", ".join(parts) + "}\n"
+
+
+def _spans(cells: list) -> Iterator[Tuple[int, int]]:
+    """The (start, stop) bounds of each TRACE_CHUNK events' cells, in
+    order; a reader copies one chunk's cells at a time."""
+    step = TRACE_CHUNK * _CELLS
+    start = 0
+    while start < len(cells):
+        yield start, start + step
+        start += step
+
+
+def _rows(cells: list, start: int, stop: int) -> Iterator[tuple]:
+    """The events of ``cells[start:stop]`` as plain tuples of TraceEvent's
+    fields."""
+    return zip(count(start // _CELLS + 1), *[iter(cells[start:stop])] * _CELLS)
+
+
+class TraceEvents(Sequence):
+    """Read-only view of a trace's events; an event is built when read."""
+
+    __slots__ = ("_cells",)
+
+    def __init__(self, cells: list):
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._cells) // _CELLS
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("trace index out of range")
+        start = index * _CELLS
+        return TraceEvent(index + 1, *self._cells[start:start + _CELLS])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        cells = self._cells
+        return map(_event, chain.from_iterable(
+            _rows(cells, start, stop) for start, stop in _spans(cells)))
 
 
 class ProtocolTrace:
     """Ordered event log; exports as JSON lines with stable key order."""
 
     def __init__(self):
-        self.events: List[TraceEvent] = []
+        self._cells: list = []
+        self.events = TraceEvents(self._cells)
 
-    def record(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    def record(self, at, kind, channel=None, sender=None, receiver=None, msg_type=None,
+               request_id=None, body_digest=None, note=None) -> int:
+        """Append one event from its nine cells; returns its seq."""
+        cells = self._cells
+        cells += (at, kind, channel, sender, receiver, msg_type, request_id, body_digest, note)
+        return len(cells) // _CELLS
+
+    def select(self, kind: str, *fields: str) -> Iterator[tuple]:
+        """``(seq, *fields)`` of every event of one kind, in order, read
+        from the cells one chunk at a time; no event is built."""
+        cells = self._cells
+        columns = [_CELL[name] for name in fields]
+        return chain.from_iterable(
+            compress(zip(count(start // _CELLS + 1),
+                         *[cells[start + c:stop:_CELLS] for c in columns]),
+                     map(eq, cells[start + _CELL["kind"]:stop:_CELLS], repeat(kind)))
+            for start, stop in _spans(cells))
 
     def chunks(self) -> Iterator[str]:
         """The JSON lines of the events recorded so far, TRACE_CHUNK
         events to a chunk, in order."""
-        events = self.events
-        for start in range(0, len(events), TRACE_CHUNK):
-            yield "".join(map(_json_line, events[start:start + TRACE_CHUNK]))
+        cells = self._cells
+        for start, stop in _spans(cells):
+            yield "".join(map(_json_line, _rows(cells, start, stop)))
 
     def export_jsonl(self) -> str:
         return "".join(self.chunks())
@@ -157,8 +234,9 @@ class WireRecord(NamedTuple):
     `seq` is the trace sequence number of the matching send event, so a
     finding against these bytes can cite a line in the exported trace.
     `tags` are the body tags of `data` in order, taken from the envelope
-    carried with it, or None when the body does not decode. The field
-    values stay in `data` only.
+    carried with it, or None when the body does not decode; records of one
+    run with equal tags share one tuple. The field values stay in `data`
+    only.
     """
 
     seq: int
@@ -311,7 +389,7 @@ class Simulation:
         self._order: List[str] = []
         self._heap: List[Tuple[int, int, str, tuple]] = []
         self._tie = 0
-        self._event_seq = 0
+        self._tag_sets: Dict[Tags, Tags] = {}  # one tuple per distinct tag set
         self._timer_token = 0
         self._cancelled: set = set()
         self._steps = 0
@@ -337,11 +415,8 @@ class Simulation:
 
     def _record(self, kind: str, channel=None, sender=None, receiver=None, msg_type=None,
                 request_id=None, body_digest=None, note=None) -> int:
-        self._event_seq += 1
-        self.trace.record(TraceEvent(
-            self._event_seq, self.now, kind, channel, sender, receiver, msg_type,
-            request_id, body_digest, note))
-        return self._event_seq
+        return self.trace.record(self.now, kind, channel, sender, receiver, msg_type,
+                                 request_id, body_digest, note)
 
     def trace_note(self, actor_name: str, text: str) -> None:
         self._record("note", sender=actor_name, note=text)
@@ -400,9 +475,12 @@ class Simulation:
 
     def _log(self, seq: int, data: bytes, env: Envelope,
              error: Optional[WireError]) -> None:
+        tags = None
+        if error is None:
+            tags = tuple(sorted(env.body))
+            tags = self._tag_sets.setdefault(tags, tags)
         self.wire_log.append(WireRecord(
-            seq, self.now, env.channel, env.sender, env.receiver, env.msg_type, data,
-            None if error is not None else tuple(sorted(env.body))))
+            seq, self.now, env.channel, env.sender, env.receiver, env.msg_type, data, tags))
 
     @staticmethod
     def _apply_tamper(data: bytes, action: Tamper) -> bytes:

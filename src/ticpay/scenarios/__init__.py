@@ -553,8 +553,8 @@ class RunReport:
 
 def _note_text(world: World) -> str:
     return "\n".join(
-        f"{e.sender}: {e.note}" for e in world.sim.trace.events
-        if e.kind == "note" and e.note
+        f"{sender}: {note}"
+        for _, sender, note in world.sim.trace.select("note", "sender", "note") if note
     )
 
 
@@ -576,8 +576,8 @@ def _eval_expectations(world: World) -> List[CheckResult]:
                 "expect-absent-note", needle not in notes,
                 f"note absent {needle!r}"))
     if expect.absent_msg_types:
-        delivered = {e.msg_type for e in world.sim.trace.events
-                     if e.kind == "deliver"}
+        delivered = {msg_type for _, msg_type
+                     in world.sim.trace.select("deliver", "msg_type")}
         for msg_type in expect.absent_msg_types:
             results.append(CheckResult(
                 "expect-absent-msg", msg_type not in delivered,
@@ -644,8 +644,8 @@ def watch_conservation(sim: Simulation, banks: List) -> List[str]:
         if current != baseline:
             # Every processed event records at least one trace line, and
             # the first is the event itself: the deliver, send or timer
-            # whose handling moved the money.
-            violations.append(f"seq={events[first].seq} total {current} != {baseline}")
+            # whose handling moved the money. Its seq is its position.
+            violations.append(f"seq={first + 1} total {current} != {baseline}")
         first = len(events)
 
     sim.after_event = watch

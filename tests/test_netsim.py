@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -342,26 +343,34 @@ def test_wire_record_cites_the_send_event():
     assert event.msg_type == "a"
 
 
+def test_wire_records_with_equal_tags_share_one_tuple():
+    bodies = [{3: b"x", 1: b"y"}, {1: b"z", 3: b"w"}, {2: b"v"}, {3: b"u", 1: b"t"}]
+    envelopes = [msg("src", "sink", f"m{i}", body=body) for i, body in enumerate(bodies)]
+    sim = simulate([Opener("src", envelopes), Recorder("sink")])
+    tags = [record.tags for record in sim.wire_log]
+    assert tags == [tuple(sorted(body)) for body in bodies]
+    assert tags[0] is tags[1] is tags[3]
+
+
 # Any text, lone surrogates included: the default alphabet leaves them out.
 any_text = st.text(st.characters(exclude_categories=()), max_size=12)
 any_int = st.one_of(st.sampled_from([0, -1, 2**63, -(2**70)]), st.integers(),
                     st.sampled_from(list(Channel)))  # an IntEnum prints as its value
 
 
-@given(st.builds(
-    TraceEvent,
-    **{name: st.none() | (any_int if name in ("seq", "at") else any_text)
-       for name in TraceEvent._fields},
-))
-@example(TraceEvent(seq=1, at=0, kind="note", note='"\\\x00\x1f\x7f é \ud800 \U0001f600'))
-@example(TraceEvent(seq=None, at=None, kind=None))
-def test_trace_lines_are_byte_identical_to_json_dumps(event):
+@given(st.tuples(*(st.none() | (any_int if name == "at" else any_text)
+                   for name in TraceEvent._fields[1:])))
+@example((0, "note", None, None, None, None, None, None,
+          '"\\\x00\x1f\x7f é \ud800 \U0001f600'))
+@example((None,) * 9)
+def test_trace_lines_are_byte_identical_to_json_dumps(cells):
     trace = ProtocolTrace()
-    trace.record(event)
-    trace.record(event)
-    line = json.dumps(event.as_dict(), sort_keys=True) + "\n"
-    assert trace.export_jsonl() == line * 2
-    assert trace.digest() == hashlib.sha256((line * 2).encode("utf-8")).hexdigest()
+    assert (trace.record(*cells), trace.record(*cells)) == (1, 2)
+    events = list(trace.events)
+    assert [(e.seq, e[1:]) for e in events] == [(1, cells), (2, cells)]
+    text = "".join(json.dumps(e.as_dict(), sort_keys=True) + "\n" for e in events)
+    assert trace.export_jsonl() == text
+    assert trace.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def mixed_trace(n: int) -> ProtocolTrace:
@@ -374,12 +383,56 @@ def mixed_trace(n: int) -> ProtocolTrace:
         note = 'tab\t "quote" back\\slash é \ud800' if seq == n // 2 + 1 else None
         if kind == "note" and note is None:
             note = f"note {seq}"
-        trace.record(TraceEvent(
-            seq, seq // 3, kind, channel="WEB" if kind != "note" else None,
+        trace.record(
+            seq // 3, kind, channel="WEB" if kind != "note" else None,
             sender=f"actor-{seq % 5}", receiver="bank" if kind != "timer" else None,
             msg_type=None if kind in ("note", "timer") else "login_request",
-            body_digest=f"{seq:016x}" if kind != "note" else None, note=note))
+            body_digest=f"{seq:016x}" if kind != "note" else None, note=note)
     return trace
+
+
+def test_the_events_view_reads_like_a_list_of_events():
+    n = 2 * TRACE_CHUNK + 3
+    trace = mixed_trace(n)
+    events = trace.events
+    listed = list(events)
+    assert len(events) == len(listed) == n
+    assert [e.seq for e in listed] == list(range(1, n + 1))
+    assert listed == [events[i] for i in range(n)]
+    assert (events[-1], events[-n]) == (listed[-1], listed[0])
+    for cut in (slice(5, 9), slice(TRACE_CHUNK - 2, None), slice(None, None, -7),
+                slice(n, None), slice(-3, -1)):
+        assert events[cut] == listed[cut]
+    assert list(reversed(events)) == listed[::-1]
+    for past_the_end in (n, -n - 1):
+        with pytest.raises(IndexError):
+            events[past_the_end]
+    with pytest.raises(TypeError):
+        events[0] = listed[0]
+    assert events and not ProtocolTrace().events
+    assert list(trace.select("note", "sender", "note")) == [
+        (e.seq, e.sender, e.note) for e in listed if e.kind == "note"]
+    assert list(trace.select("timer")) == [(e.seq,) for e in listed if e.kind == "timer"]
+
+
+def test_recording_keeps_no_object_per_event():
+    # The trace keeps nine cells per event in one list: 72 B of slots plus
+    # the list's growth margin, and no object of the event's own.
+    n = 20_000
+    trace = ProtocolTrace()
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        for _ in range(n):
+            trace.record(7, "deliver", "WEB", "alice", "bank", "login_request", "alice-R001",
+                         "00ff00ff00ff00ff")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 80 * n, f"{retained / n:.1f} B per event"
+    assert len(gc.get_objects()) - tracked < 100
+    assert len(trace.events) == n
 
 
 @pytest.mark.parametrize("n", [0, 1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1,

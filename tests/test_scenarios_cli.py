@@ -15,7 +15,7 @@ from ticpay.checks import conformance_check, leakage_scan
 from ticpay.cli import main
 from ticpay.client_agent import ClientAgent
 from ticpay.errors import ScenarioError
-from ticpay.netsim import AdversaryScript, ProtocolTrace, TraceEvent
+from ticpay.netsim import AdversaryScript, ProtocolTrace
 from ticpay.protocol import ONE_WAY_TEMPLATE
 from ticpay.scenarios import (
     MSG_TYPES,
@@ -408,9 +408,9 @@ def test_conformance_names_the_seq_of_the_divergent_delivery():
 def test_conformance_names_the_last_event_when_deliveries_run_out():
     trace = ProtocolTrace()
     assert conformance_check(trace, ["a"], ["alice"]).seq == 0
-    trace.record(TraceEvent(1, 0, "send", sender="alice", receiver="bank", msg_type="a"))
-    trace.record(TraceEvent(2, 1, "deliver", sender="alice", receiver="bank", msg_type="a"))
-    trace.record(TraceEvent(3, 1, "note", note="done"))
+    trace.record(0, "send", sender="alice", receiver="bank", msg_type="a")
+    trace.record(1, "deliver", sender="alice", receiver="bank", msg_type="a")
+    trace.record(1, "note", note="done")
     outcome = conformance_check(trace, ["a", "b"], ["alice"])
     assert (outcome.client, outcome.step, outcome.expected, outcome.got, outcome.seq) == (
         "alice", 1, "b", None, 3)
